@@ -1,17 +1,18 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 usage error, 2 parse/validation error (including
-unreadable files and unknown grade labels), 3 method/cell mismatch.
+unreadable files, unknown grade labels and grey scores beyond the float
+range), 3 method/cell mismatch.
 """
 
 from __future__ import annotations
 
 import argparse
-import math
 import sys
-from typing import Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
 
 from . import tableio
+from ._checks import checked_real
 from .engine import CellMismatchError, decide
 from .grades import ScaleValidationError, UnknownGradeError
 
@@ -22,6 +23,10 @@ EXIT_MISMATCH = 3
 
 
 class _UsageError(Exception):
+    pass
+
+
+class _InvalidInput(Exception):
     pass
 
 
@@ -77,9 +82,19 @@ def _fail(code: int, message: str) -> int:
     return code
 
 
-def _read(path: str) -> str:
-    with open(path, "r", encoding="utf-8", newline="") as handle:
-        return handle.read()
+def _load(path: str, parse: Callable[..., Any]) -> Any:
+    """Read and parse one input document; either failing is invalid input."""
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as handle:
+            text = handle.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise _InvalidInput(f"cannot read {path}: {exc}") from None
+    try:
+        return parse(text, source=path)
+    except tableio.ParseError as exc:
+        raise _InvalidInput(str(exc)) from None
+    except ScaleValidationError as exc:
+        raise _InvalidInput(f"{path}: {exc}") from None
 
 
 def run_cli(argv: Optional[Sequence[str]] = None) -> int:
@@ -93,35 +108,20 @@ def run_cli(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
 
-    if not (isinstance(options.epsilon, float) and math.isfinite(options.epsilon)
-            and options.epsilon > 0.0):
-        return _fail(EXIT_USAGE, f"--epsilon must be a positive real, got {options.epsilon!r}")
+    try:
+        checked_real(options.epsilon, "--epsilon", low=0.0, strict=True)
+    except ValueError as exc:
+        return _fail(EXIT_USAGE, str(exc))
     if options.scale is not None and options.method != "grey":
         return _fail(EXIT_USAGE, "--scale only applies to --method grey")
     if options.criterion is not None and options.method != "neutrosophic":
         return _fail(EXIT_USAGE, "--criterion only applies to --method neutrosophic")
 
     try:
-        table_text = _read(options.input)
-    except (OSError, UnicodeDecodeError) as exc:
-        return _fail(EXIT_INVALID, f"cannot read {options.input}: {exc}")
-    try:
-        table = tableio.parse_table(table_text, source=options.input)
-    except tableio.ParseError as exc:
+        table = _load(options.input, tableio.parse_table)
+        scale = None if options.scale is None else _load(options.scale, tableio.parse_scale)
+    except _InvalidInput as exc:
         return _fail(EXIT_INVALID, str(exc))
-
-    scale = None
-    if options.scale is not None:
-        try:
-            scale_text = _read(options.scale)
-        except (OSError, UnicodeDecodeError) as exc:
-            return _fail(EXIT_INVALID, f"cannot read {options.scale}: {exc}")
-        try:
-            scale = tableio.parse_scale(scale_text, source=options.scale)
-        except tableio.ParseError as exc:
-            return _fail(EXIT_INVALID, str(exc))
-        except ScaleValidationError as exc:
-            return _fail(EXIT_INVALID, f"{options.scale}: {exc}")
 
     try:
         report = decide(
@@ -130,7 +130,7 @@ def run_cli(argv: Optional[Sequence[str]] = None) -> int:
         )
     except CellMismatchError as exc:
         return _fail(EXIT_MISMATCH, f"{options.input}: {exc}")
-    except (UnknownGradeError, ScaleValidationError) as exc:
+    except (UnknownGradeError, ValueError) as exc:  # e.g. a grey score beyond the float range
         return _fail(EXIT_INVALID, f"{options.input}: {exc}")
 
     rendered = (

@@ -13,14 +13,15 @@ so callers must supply triplets themselves or run the grey method.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Tuple, Union
+from operator import attrgetter
+from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple, Union
 
+from ._checks import checked_real
 from .grades import GradeScale, ScaleValidationError, default_scale
 from .grey import GreyNumber
 from .neutrosophic import Triplet, mean
-from .softset import _checked_ids
+from .softset import _checked_grid
 
 
 @dataclass(frozen=True)
@@ -103,6 +104,11 @@ class Criterion(enum.Enum):
     COMBINED = "combined"
 
 
+def _check_cell(candidate: str, cell: Any) -> None:
+    if not isinstance(cell, _CELL_TYPES):
+        raise TypeError(f"row {candidate!r} holds a non-cell value {cell!r}")
+
+
 @dataclass(frozen=True)
 class DecisionTable:
     """Candidates by parameters cell matrix; at least one of each, all unique."""
@@ -112,23 +118,10 @@ class DecisionTable:
     cells: tuple
 
     def __post_init__(self) -> None:
-        candidates = _checked_ids(self.candidates, "candidate")
-        parameters = _checked_ids(self.parameters, "parameter")
-        if not candidates:
-            raise ValueError("a decision table needs at least one candidate")
-        if not parameters:
-            raise ValueError("a decision table needs at least one parameter")
-        cells = tuple(tuple(row) for row in self.cells)
-        if len(cells) != len(candidates):
-            raise ValueError(f"expected {len(candidates)} cell rows, got {len(cells)}")
-        for candidate, row in zip(candidates, cells):
-            if len(row) != len(parameters):
-                raise ValueError(
-                    f"row {candidate!r} has {len(row)} cells, expected {len(parameters)}"
-                )
-            for cell in row:
-                if not isinstance(cell, _CELL_TYPES):
-                    raise TypeError(f"row {candidate!r} holds a non-cell value {cell!r}")
+        candidates, parameters, cells = _checked_grid(
+            self.candidates, self.parameters, self.cells, ("candidate", "parameter"),
+            _check_cell, table="a decision table",
+        )
         object.__setattr__(self, "candidates", candidates)
         object.__setattr__(self, "parameters", parameters)
         object.__setattr__(self, "cells", cells)
@@ -149,85 +142,86 @@ class DecisionReport:
     notes: tuple = ()
 
 
+_VALUE = attrgetter("value")
+# The (triplet, multiplicity) entries that a 1-cell and a 0-cell add to a neutrosophic mean.
+_PRESENT = (Triplet(1.0, 0.0, 0.0), 1)
+_ABSENT = (Triplet(0.0, 0.0, 1.0), 1)
+
+
+def _fold_rows(
+    table: DecisionTable, method: Method, contributions: Tuple[Tuple[type, Callable], ...],
+    finish: Callable[[str, list], Score], hint: str,
+) -> Dict[str, Score]:
+    """Score each row of the table, the one procedure behind every method.
+
+    ``contributions`` pairs each cell type the method accepts with the
+    function that turns such a cell into a part; ``finish(candidate, parts)``
+    turns a row's parts, in column order, into its score. A cell of any
+    other type is a mismatch, reported with ``hint``.
+    """
+    scores: Dict[str, Score] = {}
+    for candidate, row in zip(table.candidates, table.cells):
+        parts: list = []
+        for parameter, cell in zip(table.parameters, row):
+            for kind, contribute in contributions:
+                if isinstance(cell, kind):
+                    parts.append(contribute(cell))
+                    break
+            else:
+                raise CellMismatchError(method.value, candidate, parameter, _describe(cell), hint)
+        scores[candidate] = finish(candidate, parts)
+    return scores
+
+
 def choice_values_binary(table: DecisionTable) -> Dict[str, int]:
     """Row sums of an all-binary table."""
-    scores: Dict[str, int] = {}
-    for row_index, candidate in enumerate(table.candidates):
-        total = 0
-        for col_index, parameter in enumerate(table.parameters):
-            cell = table.cells[row_index][col_index]
-            if not isinstance(cell, BinCell):
-                raise CellMismatchError(
-                    Method.BINARY.value, candidate, parameter, _describe(cell),
-                    "only 0/1 cells are allowed",
-                )
-            total += cell.value
-        scores[candidate] = total
-    return scores
+    return _fold_rows(
+        table, Method.BINARY, ((BinCell, _VALUE),),
+        lambda candidate, parts: sum(parts), "only 0/1 cells are allowed",
+    )
+
+
+def _grey_score(candidate: str, parts: list) -> float:
+    ones, lower, upper = 0, 0.0, 0.0
+    for part in parts:
+        if isinstance(part, GreyNumber):
+            lower += part.lower
+            upper += part.upper
+        else:
+            ones += part
+    return checked_real(ones + (lower + upper) / 2.0, f"grey score of candidate {candidate!r}")
 
 
 def choice_values_grey(table: DecisionTable, scale: GradeScale) -> Dict[str, float]:
     """Row sums of binary cells plus the midpoint of the row's accumulated intervals.
 
     Grade cells go through the scale first; interval cells are used as
-    given. Intervals are accumulated left to right, and the midpoint is
-    taken once at the end.
+    given. Interval endpoints are accumulated left to right, and the
+    midpoint is taken once at the end; a score beyond the float range is
+    rejected.
     """
-    scores: Dict[str, float] = {}
-    for row_index, candidate in enumerate(table.candidates):
-        ones = 0
-        accumulated: Optional[GreyNumber] = None
-        for col_index, parameter in enumerate(table.parameters):
-            cell = table.cells[row_index][col_index]
-            if isinstance(cell, BinCell):
-                ones += cell.value
-                continue
-            if isinstance(cell, GradeCell):
-                interval = scale[cell.label]
-            elif isinstance(cell, GreyCell):
-                interval = cell.interval
-            else:
-                raise CellMismatchError(
-                    Method.GREY.value, candidate, parameter, _describe(cell),
-                    "only 0/1, grade and interval cells are allowed",
-                )
-            accumulated = interval if accumulated is None else accumulated + interval
-        scores[candidate] = float(ones) if accumulated is None else ones + accumulated.midpoint()
-    return scores
-
-
-_PRESENT = Triplet(1.0, 0.0, 0.0)
-_ABSENT = Triplet(0.0, 0.0, 1.0)
+    contributions = (
+        (BinCell, _VALUE),
+        (GradeCell, lambda cell: scale[cell.label]),
+        (GreyCell, attrgetter("interval")),
+    )
+    return _fold_rows(
+        table, Method.GREY, contributions, _grey_score,
+        "only 0/1, grade and interval cells are allowed",
+    )
 
 
 def choice_values_neutrosophic(table: DecisionTable) -> Dict[str, Triplet]:
     """Mean triplet of each row, with 0 read as (0, 0, 1) and 1 as (1, 0, 0)."""
-    scores: Dict[str, Triplet] = {}
-    for row_index, candidate in enumerate(table.candidates):
-        row: List[Tuple[Triplet, int]] = []
-        for col_index, parameter in enumerate(table.parameters):
-            cell = table.cells[row_index][col_index]
-            if isinstance(cell, BinCell):
-                row.append((_PRESENT if cell.value else _ABSENT, 1))
-            elif isinstance(cell, NeutroCell):
-                row.append((cell.triplet, 1))
-            else:
-                raise CellMismatchError(
-                    Method.NEUTROSOPHIC.value, candidate, parameter, _describe(cell),
-                    "supply triplets for this cell (grades and intervals have no "
-                    "automatic triplet translation) or run the grey method",
-                )
-        scores[candidate] = mean(row)
-    return scores
-
-
-def _checked_epsilon(epsilon: float) -> float:
-    if isinstance(epsilon, bool) or not isinstance(epsilon, (int, float)):
-        raise TypeError(f"epsilon must be a real number, got {type(epsilon).__name__}")
-    epsilon = float(epsilon)
-    if not math.isfinite(epsilon) or epsilon <= 0.0:
-        raise ValueError(f"epsilon must be a positive real, got {epsilon!r}")
-    return epsilon
+    contributions = (
+        (BinCell, lambda cell: _PRESENT if cell.value else _ABSENT),
+        (NeutroCell, lambda cell: (cell.triplet, 1)),
+    )
+    return _fold_rows(
+        table, Method.NEUTROSOPHIC, contributions, lambda candidate, parts: mean(parts),
+        "supply triplets for this cell (grades and intervals have no "
+        "automatic triplet translation) or run the grey method",
+    )
 
 
 def _require_scores(scores: Mapping[str, Triplet]) -> None:
@@ -238,7 +232,7 @@ def _require_scores(scores: Mapping[str, Triplet]) -> None:
 def rank_optimistic(scores: Mapping[str, Triplet], epsilon: float = 1e-9) -> List[str]:
     """Candidates tied (within epsilon) for the greatest truth degree."""
     _require_scores(scores)
-    epsilon = _checked_epsilon(epsilon)
+    epsilon = checked_real(epsilon, "epsilon", low=0.0, strict=True)
     best = max(score.truth for score in scores.values())
     return [candidate for candidate, score in scores.items() if score.truth >= best - epsilon]
 
@@ -246,7 +240,7 @@ def rank_optimistic(scores: Mapping[str, Triplet], epsilon: float = 1e-9) -> Lis
 def rank_conservative(scores: Mapping[str, Triplet], epsilon: float = 1e-9) -> List[str]:
     """Candidates tied (within epsilon) for the least falsity degree."""
     _require_scores(scores)
-    epsilon = _checked_epsilon(epsilon)
+    epsilon = checked_real(epsilon, "epsilon", low=0.0, strict=True)
     best = min(score.falsity for score in scores.values())
     return [candidate for candidate, score in scores.items() if score.falsity <= best + epsilon]
 
@@ -259,21 +253,27 @@ def rank_combined(scores: Mapping[str, Triplet], epsilon: float = 1e-9) -> List[
     finally toward the earliest candidate. The fallback is a convention of
     this tool, not part of the underlying criteria.
     """
-    _require_scores(scores)
-    epsilon = _checked_epsilon(epsilon)
-    conservative = set(rank_conservative(scores, epsilon))
-    both = [candidate for candidate in rank_optimistic(scores, epsilon) if candidate in conservative]
+    optimistic = rank_optimistic(scores, epsilon)  # validates scores and epsilon
+    conservative = rank_conservative(scores, epsilon)
+    return _combine(scores, optimistic, conservative, epsilon)[0]
+
+
+def _combine(
+    scores: Mapping[str, Triplet], optimistic: List[str], conservative: List[str], epsilon: float
+) -> Tuple[List[str], bool]:
+    """The combined winners from both rankings, and whether the fallback chose them."""
+    in_conservative = set(conservative)
+    both = [candidate for candidate in optimistic if candidate in in_conservative]
     if both:
-        return both
+        return both, False
     net = {candidate: score.truth - score.falsity for candidate, score in scores.items()}
-    best = max(net.values())
-    leaders = [candidate for candidate in scores if net[candidate] >= best - epsilon]
+    leaders = _argmax_within(net, epsilon)
     least_doubt = min(scores[candidate].indeterminacy for candidate in leaders)
     leaders = [
         candidate for candidate in leaders
         if scores[candidate].indeterminacy <= least_doubt + epsilon
     ]
-    return leaders[:1]
+    return leaders[:1], True
 
 
 _COMBINED_NOTE = (
@@ -340,31 +340,22 @@ def decide(
     is the tie tolerance for winner detection.
     """
     method = Method(method)
-    epsilon = _checked_epsilon(epsilon)
+    epsilon = checked_real(epsilon, "epsilon", low=0.0, strict=True)
     if scale is not None and method is not Method.GREY:
         raise ValueError(f"a grade scale does not apply to the {method.value} method")
     if criterion is not None and method is not Method.NEUTROSOPHIC:
         raise ValueError(f"a ranking criterion does not apply to the {method.value} method")
 
-    if method is Method.BINARY:
-        binary_scores = choice_values_binary(table)
-        return DecisionReport(
-            method=method,
-            scores=binary_scores,
-            winners=tuple(_argmax_within(binary_scores, epsilon)),
-        )
-
-    if method is Method.GREY:
-        scale = default_scale() if scale is None else scale
-        violations = scale.validate()
-        if violations:
-            raise ScaleValidationError(violations)
-        grey_scores = choice_values_grey(table, scale)
-        return DecisionReport(
-            method=method,
-            scores=grey_scores,
-            winners=tuple(_argmax_within(grey_scores, epsilon)),
-        )
+    if method is not Method.NEUTROSOPHIC:
+        if method is Method.BINARY:
+            scores = choice_values_binary(table)
+        else:
+            scale = default_scale() if scale is None else scale
+            violations = scale.validate()
+            if violations:
+                raise ScaleValidationError(violations)
+            scores = choice_values_grey(table, scale)
+        return DecisionReport(method, scores, tuple(_argmax_within(scores, epsilon)))
 
     criterion = Criterion.COMBINED if criterion is None else Criterion(criterion)
     triplet_scores = choice_values_neutrosophic(table)
@@ -376,9 +367,9 @@ def decide(
     elif criterion is Criterion.CONSERVATIVE:
         winners = conservative
     else:
-        winners = rank_combined(triplet_scores, epsilon)
+        winners, fallback = _combine(triplet_scores, optimistic, conservative, epsilon)
         notes.append(_COMBINED_NOTE)
-        if not set(optimistic) & set(conservative):
+        if fallback:
             notes.append(_FALLBACK_NOTE)
     contender_set = set(optimistic) | set(conservative)
     contenders = [candidate for candidate in triplet_scores if candidate in contender_set]

@@ -2,17 +2,9 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-
-def _checked_real(value: float, name: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise TypeError(f"{name} must be a real number, got {type(value).__name__}")
-    value = float(value)
-    if not math.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {value!r}")
-    return value
+from ._checks import checked_real
 
 
 @dataclass(frozen=True)
@@ -29,8 +21,8 @@ class GreyNumber:
     upper: float
 
     def __post_init__(self) -> None:
-        lower = _checked_real(self.lower, "lower endpoint")
-        upper = _checked_real(self.upper, "upper endpoint")
+        lower = checked_real(self.lower, "lower endpoint")
+        upper = checked_real(self.upper, "upper endpoint")
         if lower > upper:
             raise ValueError(f"invalid interval: lower {lower!r} > upper {upper!r}")
         object.__setattr__(self, "lower", lower)
@@ -43,9 +35,7 @@ class GreyNumber:
 
     def scale(self, k: float) -> "GreyNumber":
         """Scale both endpoints by a positive real."""
-        k = _checked_real(k, "scalar")
-        if k <= 0.0:
-            raise ValueError(f"scalar must be positive, got {k!r}")
+        k = checked_real(k, "scalar", low=0.0, strict=True)
         return GreyNumber(k * self.lower, k * self.upper)
 
     def __mul__(self, k: float) -> "GreyNumber":

@@ -10,80 +10,54 @@ into the box, where it provably belongs.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Tuple, Union
 
-
-def _checked_component(value: float, name: str, boxed: bool) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise TypeError(f"{name} must be a real number, got {type(value).__name__}")
-    value = float(value)
-    if not math.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {value!r}")
-    if value < 0.0:
-        raise ValueError(f"{name} must be nonnegative, got {value!r}")
-    if boxed and value > 1.0:
-        raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
-    return value
+from ._checks import checked_real
 
 
 @dataclass(frozen=True)
-class Triplet:
-    """Degrees of truth, indeterminacy and falsity, each constrained to [0, 1]."""
+class _Components:
+    """Truth, indeterminacy and falsity components; nonnegative, bounded above by ``_high``."""
 
     truth: float
     indeterminacy: float
     falsity: float
 
+    _high = None
+    _labels = ("truth component", "indeterminacy component", "falsity component")
+
     def __post_init__(self) -> None:
-        t = _checked_component(self.truth, "truth degree", boxed=True)
-        i = _checked_component(self.indeterminacy, "indeterminacy degree", boxed=True)
-        f = _checked_component(self.falsity, "falsity degree", boxed=True)
-        # Implied by the component bounds; kept as a guard against future edits.
-        if not 0.0 <= t + i + f <= 3.0:
-            raise ValueError(f"component sum {t + i + f!r} outside [0, 3]")
-        object.__setattr__(self, "truth", t)
-        object.__setattr__(self, "indeterminacy", i)
-        object.__setattr__(self, "falsity", f)
+        for name, label in zip(("truth", "indeterminacy", "falsity"), self._labels):
+            value = checked_real(getattr(self, name), label, low=0.0, high=self._high)
+            object.__setattr__(self, name, value)
+
+    def __add__(self, other: "TripletLike") -> "TripletAccumulator":
+        if not isinstance(other, _Components):
+            return NotImplemented
+        return add(self, other)
+
+    def __mul__(self, k: float) -> "TripletAccumulator":
+        return scale(k, self)
+
+    __rmul__ = __mul__
+
+
+@dataclass(frozen=True)
+class Triplet(_Components):
+    """Degrees of truth, indeterminacy and falsity, each constrained to [0, 1]."""
+
+    _high = 1.0
+    _labels = ("truth degree", "indeterminacy degree", "falsity degree")
 
     def accumulator(self) -> "TripletAccumulator":
         return TripletAccumulator(self.truth, self.indeterminacy, self.falsity)
 
-    def __add__(self, other: "TripletLike") -> "TripletAccumulator":
-        if not isinstance(other, (Triplet, TripletAccumulator)):
-            return NotImplemented
-        return add(self, other)
-
-    def __mul__(self, k: float) -> "TripletAccumulator":
-        return scale(k, self)
-
-    __rmul__ = __mul__
-
 
 @dataclass(frozen=True)
-class TripletAccumulator:
+class TripletAccumulator(_Components):
     """Componentwise sums and scalings of triplets; nonnegative, no upper bound."""
-
-    truth: float
-    indeterminacy: float
-    falsity: float
-
-    def __post_init__(self) -> None:
-        for name in ("truth", "indeterminacy", "falsity"):
-            value = _checked_component(getattr(self, name), f"{name} component", boxed=False)
-            object.__setattr__(self, name, value)
-
-    def __add__(self, other: "TripletLike") -> "TripletAccumulator":
-        if not isinstance(other, (Triplet, TripletAccumulator)):
-            return NotImplemented
-        return add(self, other)
-
-    def __mul__(self, k: float) -> "TripletAccumulator":
-        return scale(k, self)
-
-    __rmul__ = __mul__
 
     def as_triplet(self) -> Triplet:
         """Reinterpret as a boxed triplet; fails if any component exceeds 1."""
@@ -94,7 +68,7 @@ TripletLike = Union[Triplet, TripletAccumulator]
 
 
 def _components(value: TripletLike) -> Tuple[float, float, float]:
-    if not isinstance(value, (Triplet, TripletAccumulator)):
+    if not isinstance(value, _Components):
         raise TypeError(
             f"expected a Triplet or TripletAccumulator, got {type(value).__name__}"
         )
@@ -110,11 +84,7 @@ def add(a: TripletLike, b: TripletLike) -> TripletAccumulator:
 
 def scale(k: float, a: TripletLike) -> TripletAccumulator:
     """Componentwise product with a positive real."""
-    if isinstance(k, bool) or not isinstance(k, (int, float)):
-        raise TypeError(f"scalar must be a real number, got {type(k).__name__}")
-    k = float(k)
-    if not math.isfinite(k) or k <= 0.0:
-        raise ValueError(f"scalar must be a positive real, got {k!r}")
+    k = checked_real(k, "scalar", low=0.0, strict=True)
     t, i, f = _components(a)
     return TripletAccumulator(k * t, k * i, k * f)
 
@@ -162,10 +132,7 @@ def classify_information(triplet: Triplet, epsilon: float = 1e-9) -> Information
     """Sum below 1 leaves information missing, near 1 is complete, above 1 is contradictory."""
     if not isinstance(triplet, Triplet):
         raise TypeError(f"expected a Triplet, got {type(triplet).__name__}")
-    if isinstance(epsilon, bool) or not isinstance(epsilon, (int, float)):
-        raise TypeError(f"epsilon must be a real number, got {type(epsilon).__name__}")
-    if not math.isfinite(epsilon) or epsilon <= 0.0:
-        raise ValueError(f"epsilon must be a positive real, got {epsilon!r}")
+    epsilon = checked_real(epsilon, "epsilon", low=0.0, strict=True)
     total = triplet.truth + triplet.indeterminacy + triplet.falsity
     if abs(total - 1.0) <= epsilon:
         return InformationClass.COMPLETE

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Mapping, Optional, Sequence, Tuple
+
+from ._checks import checked_real
 
 
 def _checked_ids(ids: Iterable[str], kind: str) -> tuple:
@@ -21,6 +23,37 @@ def _checked_ids(ids: Iterable[str], kind: str) -> tuple:
     return out
 
 
+def _checked_grid(
+    row_ids: Iterable[str], col_ids: Iterable[str], cells: Iterable[Iterable[Any]],
+    kinds: Tuple[str, str], check_cell: Callable[[str, Any], None], table: Optional[str] = None,
+) -> Tuple[tuple, tuple, tuple]:
+    """Validated (row ids, column ids, cell rows) of a rectangular table.
+
+    ``kinds`` name the row and column ids; a named ``table`` needs at least one
+    of each. ``check_cell(row_id, value)`` raises on a cell the table rejects.
+    """
+    rows = _checked_ids(row_ids, kinds[0])
+    cols = _checked_ids(col_ids, kinds[1])
+    if table is not None:
+        for kind, ids in zip(kinds, (rows, cols)):
+            if not ids:
+                raise ValueError(f"{table} needs at least one {kind}")
+    grid = tuple(tuple(row) for row in cells)
+    if len(grid) != len(rows):
+        raise ValueError(f"expected {len(rows)} cell rows, got {len(grid)}")
+    for row_id, row in zip(rows, grid):
+        if len(row) != len(cols):
+            raise ValueError(f"row {row_id!r} has {len(row)} cells, expected {len(cols)}")
+        for value in row:
+            check_cell(row_id, value)
+    return rows, cols, grid
+
+
+def _check_binary(row_id: str, value: Any) -> None:
+    if isinstance(value, bool) or value not in (0, 1):
+        raise ValueError(f"row {row_id!r} holds non-binary cell {value!r}")
+
+
 @dataclass(frozen=True)
 class BinaryTable:
     """0/1 matrix whose rows are universe elements and columns are parameters."""
@@ -30,17 +63,9 @@ class BinaryTable:
     cells: tuple
 
     def __post_init__(self) -> None:
-        rows = _checked_ids(self.row_ids, "row")
-        cols = _checked_ids(self.col_ids, "column")
-        cells = tuple(tuple(row) for row in self.cells)
-        if len(cells) != len(rows):
-            raise ValueError(f"expected {len(rows)} cell rows, got {len(cells)}")
-        for row_id, row in zip(rows, cells):
-            if len(row) != len(cols):
-                raise ValueError(f"row {row_id!r} has {len(row)} cells, expected {len(cols)}")
-            for value in row:
-                if isinstance(value, bool) or value not in (0, 1):
-                    raise ValueError(f"row {row_id!r} holds non-binary cell {value!r}")
+        rows, cols, cells = _checked_grid(
+            self.row_ids, self.col_ids, self.cells, ("row", "column"), _check_binary
+        )
         object.__setattr__(self, "row_ids", rows)
         object.__setattr__(self, "col_ids", cols)
         object.__setattr__(self, "cells", cells)
@@ -108,26 +133,17 @@ class SoftSet:
         keeps the elements with membership >= alpha. Lower alphas therefore
         yield supersets of higher ones.
         """
-        universe = tuple(membership)
-        for element, degree in membership.items():
-            if isinstance(degree, bool) or not isinstance(degree, (int, float)):
-                raise TypeError(f"membership of {element!r} must be a real number, got {degree!r}")
-            if not 0.0 <= float(degree) <= 1.0:
-                raise ValueError(f"membership of {element!r} must lie in [0, 1], got {degree!r}")
-        levels = []
-        for alpha in alphas:
-            if isinstance(alpha, bool) or not isinstance(alpha, (int, float)):
-                raise TypeError(f"cut levels must be real numbers, got {alpha!r}")
-            alpha = float(alpha)
-            if not 0.0 <= alpha <= 1.0:
-                raise ValueError(f"cut levels must lie in [0, 1], got {alpha!r}")
-            levels.append(alpha)
+        degrees = {
+            element: checked_real(degree, f"membership of {element!r}", low=0.0, high=1.0)
+            for element, degree in membership.items()
+        }
+        levels = [checked_real(alpha, "cut level", low=0.0, high=1.0) for alpha in alphas]
         if len(set(levels)) != len(levels):
             raise ValueError("cut levels must be distinct")
         value_sets = {
             repr(alpha): frozenset(
-                element for element in universe if float(membership[element]) >= alpha
+                element for element, degree in degrees.items() if degree >= alpha
             )
             for alpha in levels
         }
-        return cls(universe, tuple(repr(alpha) for alpha in levels), value_sets)
+        return cls(tuple(degrees), tuple(repr(alpha) for alpha in levels), value_sets)

@@ -76,40 +76,53 @@ def _parse_number(text: str) -> float:
     return float(text)
 
 
+# Opening bracket -> (closing bracket, token kind, component count, cell builder).
+_BRACKETED = {
+    "[": ("]", "interval", 2, lambda lower, upper: GreyCell(GreyNumber(lower, upper))),
+    "(": (")", "triplet", 3, lambda t, i, f: NeutroCell(Triplet(t, i, f))),
+}
+
+
 def _parse_cell(token: str) -> Cell:
     if token in ("0", "1"):
         return BinCell(int(token))
-    if token.startswith("["):
-        if not token.endswith("]"):
-            raise ValueError(f"malformed interval token {token!r}")
+    bracketed = _BRACKETED.get(token[:1])
+    if bracketed is not None:
+        close, kind, count, build = bracketed
+        if not token.endswith(close):
+            raise ValueError(f"malformed {kind} token {token!r}")
         parts = token[1:-1].split(";")
-        if len(parts) != 2:
-            raise ValueError(f"interval token {token!r} needs 2 components, got {len(parts)}")
-        lower, upper = (_parse_number(part) for part in parts)
-        return GreyCell(GreyNumber(lower, upper))
-    if token.startswith("("):
-        if not token.endswith(")"):
-            raise ValueError(f"malformed triplet token {token!r}")
-        parts = token[1:-1].split(";")
-        if len(parts) != 3:
-            raise ValueError(f"triplet token {token!r} needs 3 components, got {len(parts)}")
-        truth, indeterminacy, falsity = (_parse_number(part) for part in parts)
-        return NeutroCell(Triplet(truth, indeterminacy, falsity))
+        if len(parts) != count:
+            raise ValueError(f"{kind} token {token!r} needs {count} components, got {len(parts)}")
+        return build(*map(_parse_number, parts))
     if _LABEL_RE.match(token):
         return GradeCell(token)
     raise ValueError(f"malformed cell token {token!r}")
 
 
-def parse_cell(token: str) -> Cell:
-    """Parse a single cell token."""
+def _cell_at(token: str, **where) -> Cell:
+    """Parse a cell token; a malformed one is a ParseError at ``where``."""
     try:
         return _parse_cell(token)
     except ValueError as exc:
-        raise ParseError(str(exc)) from None
+        raise ParseError(str(exc), **where) from None
+
+
+def parse_cell(token: str) -> Cell:
+    """Parse a single cell token."""
+    return _cell_at(token)
 
 
 def _num(value: float) -> str:
     return repr(value)
+
+
+def _interval_token(interval: GreyNumber) -> str:
+    return f"[{_num(interval.lower)};{_num(interval.upper)}]"
+
+
+def _triplet_token(triplet: Triplet) -> str:
+    return f"({_num(triplet.truth)};{_num(triplet.indeterminacy)};{_num(triplet.falsity)})"
 
 
 def format_cell(cell: Cell) -> str:
@@ -119,17 +132,19 @@ def format_cell(cell: Cell) -> str:
     if isinstance(cell, GradeCell):
         return cell.label
     if isinstance(cell, GreyCell):
-        interval = cell.interval
-        return f"[{_num(interval.lower)};{_num(interval.upper)}]"
-    triplet = cell.triplet
-    return f"({_num(triplet.truth)};{_num(triplet.indeterminacy)};{_num(triplet.falsity)})"
+        return _interval_token(cell.interval)
+    return _triplet_token(cell.triplet)
 
 
-def _checked_ident(text: str, kind: str) -> str:
+def _new_ident(text: str, kind: str, seen: list, **where) -> str:
+    """``text`` as a well-formed identifier not in ``seen``; else a ParseError at ``where``."""
     if not _IDENT_RE.match(text):
-        raise ValueError(
-            f"{kind} identifier {text!r} must be non-empty and contain no commas or whitespace"
+        raise ParseError(
+            f"{kind} identifier {text!r} must be non-empty and contain no commas or whitespace",
+            **where,
         )
+    if text in seen:
+        raise ParseError(f"duplicate {kind} identifier {text!r}", **where)
     return text
 
 
@@ -154,18 +169,11 @@ def parse_table(text: str, source: str = "<table>") -> DecisionTable:
             "header must hold a corner field followed by at least one parameter",
             source=source, line=header_line,
         )
-    parameters = []
+    parameters: list = []
     for index, name in enumerate(header[1:], start=2):
-        try:
-            name = _checked_ident(name, "parameter")
-        except ValueError as exc:
-            raise ParseError(str(exc), source=source, line=header_line, field=index) from None
-        if name in parameters:
-            raise ParseError(
-                f"duplicate parameter identifier {name!r}",
-                source=source, line=header_line, field=index,
-            )
-        parameters.append(name)
+        parameters.append(
+            _new_ident(name, "parameter", parameters, source=source, line=header_line, field=index)
+        )
     body = rows[1:]
     if not body:
         raise ParseError("at least one candidate row is required", source=source, line=header_line)
@@ -178,40 +186,30 @@ def parse_table(text: str, source: str = "<table>") -> DecisionTable:
                 f"expected {width} fields, got {len(fields)}",
                 source=source, line=line_number,
             )
-        try:
-            candidate = _checked_ident(fields[0], "candidate")
-        except ValueError as exc:
-            raise ParseError(str(exc), source=source, line=line_number, field=1) from None
-        if candidate in candidates:
-            raise ParseError(
-                f"duplicate candidate identifier {candidate!r}",
-                source=source, line=line_number, field=1,
-            )
-        row = []
-        for index, token in enumerate(fields[1:], start=2):
-            try:
-                row.append(_parse_cell(token))
-            except ValueError as exc:
-                raise ParseError(str(exc), source=source, line=line_number, field=index) from None
-        candidates.append(candidate)
-        cell_rows.append(tuple(row))
+        candidates.append(
+            _new_ident(fields[0], "candidate", candidates, source=source, line=line_number, field=1)
+        )
+        cell_rows.append(tuple(
+            _cell_at(token, source=source, line=line_number, field=index)
+            for index, token in enumerate(fields[1:], start=2)
+        ))
     return DecisionTable(tuple(candidates), tuple(parameters), tuple(cell_rows))
+
+
+def _write_grid(col_ids, row_ids, cells, token) -> str:
+    lines = ["," + ",".join(col_ids)]
+    lines += [row_id + "," + ",".join(map(token, row)) for row_id, row in zip(row_ids, cells)]
+    return "\n".join(lines) + "\n"
 
 
 def write_table(table: DecisionTable) -> str:
     """Canonical table document; parse_table gives the table back exactly."""
-    lines = ["," + ",".join(table.parameters)]
-    for candidate, row in zip(table.candidates, table.cells):
-        lines.append(candidate + "," + ",".join(format_cell(cell) for cell in row))
-    return "\n".join(lines) + "\n"
+    return _write_grid(table.parameters, table.candidates, table.cells, format_cell)
 
 
 def write_binary_table(table: BinaryTable) -> str:
     """Serialize a 0/1 matrix in the same dialect; it re-parses as an all-binary table."""
-    lines = ["," + ",".join(table.col_ids)]
-    for row_id, row in zip(table.row_ids, table.cells):
-        lines.append(row_id + "," + ",".join(str(value) for value in row))
-    return "\n".join(lines) + "\n"
+    return _write_grid(table.col_ids, table.row_ids, table.cells, str)
 
 
 def parse_scale(text: str, source: str = "<scale>") -> GradeScale:
@@ -226,10 +224,7 @@ def parse_scale(text: str, source: str = "<scale>") -> GradeScale:
                     source=source, line=line_number, field=index,
                 )
             label, interval_token = match.groups()
-            try:
-                cell = _parse_cell(interval_token)
-            except ValueError as exc:
-                raise ParseError(str(exc), source=source, line=line_number, field=index) from None
+            cell = _cell_at(interval_token, source=source, line=line_number, field=index)
             entries.append((label, cell.interval))
     if not entries:
         raise ParseError("empty scale document", source=source)
@@ -242,57 +237,45 @@ def parse_scale(text: str, source: str = "<scale>") -> GradeScale:
 
 def write_scale(scale: GradeScale) -> str:
     """Canonical scale document, one entry per line."""
-    lines = [
-        f"{label}=[{_num(interval.lower)};{_num(interval.upper)}]"
-        for label, interval in scale.entries
-    ]
+    lines = [f"{label}={_interval_token(interval)}" for label, interval in scale.entries]
     return "\n".join(lines) + "\n"
 
 
-def _score_token(method: Method, score) -> str:
-    if method is Method.BINARY:
-        return str(score)
-    if method is Method.GREY:
-        return _num(score)
-    return f"({_num(score.truth)};{_num(score.indeterminacy)};{_num(score.falsity)})"
-
-
-def render_report_text(report: DecisionReport) -> str:
-    """Plain-text report; scores keep full precision and re-parse exactly."""
-    lines = [f"method: {report.method.value}"]
-    if report.criterion is not None:
-        lines.append(f"criterion: {report.criterion.value}")
-    lines.append("scores:")
-    for candidate, score in report.scores.items():
-        lines.append(f"  {candidate} {_score_token(report.method, score)}")
-    lines.append("winners: " + " ".join(report.winners))
-    if report.risk_notes:
-        lines.append("risk notes:")
-        for candidate, note in report.risk_notes.items():
-            lines.append(f"  {candidate} {note}")
-    if report.notes:
-        lines.append("notes:")
-        for note in report.notes:
-            lines.append(f"  {note}")
-    return "\n".join(lines) + "\n"
-
-
-def render_report_json(report: DecisionReport) -> str:
-    """JSON report mirroring the text rendering field for field."""
+def _report_document(report: DecisionReport) -> dict:
+    """The report's fields in order, without empty optional ones; both renderers use it."""
     document = {"method": report.method.value}
     if report.criterion is not None:
         document["criterion"] = report.criterion.value
-    if report.method is Method.NEUTROSOPHIC:
-        scores = {
-            candidate: _score_token(report.method, score)
-            for candidate, score in report.scores.items()
-        }
-    else:
-        scores = dict(report.scores)
-    document["scores"] = scores
+    document["scores"] = (
+        {candidate: _triplet_token(score) for candidate, score in report.scores.items()}
+        if report.method is Method.NEUTROSOPHIC else dict(report.scores)
+    )
     document["winners"] = list(report.winners)
     if report.risk_notes:
         document["risk_notes"] = dict(report.risk_notes)
     if report.notes:
         document["notes"] = list(report.notes)
-    return json.dumps(document, indent=2, ensure_ascii=False) + "\n"
+    return document
+
+
+def render_report_text(report: DecisionReport) -> str:
+    """Plain-text report; scores keep full precision and re-parse exactly."""
+    lines = []
+    for key, value in _report_document(report).items():
+        title = key.replace("_", " ")
+        if isinstance(value, str):
+            lines.append(f"{title}: {value}")
+        elif key == "winners":
+            lines.append(f"{title}: " + " ".join(value))
+        elif isinstance(value, dict):
+            lines.append(f"{title}:")
+            lines += [f"  {name} {entry}" for name, entry in value.items()]
+        else:
+            lines.append(f"{title}:")
+            lines += [f"  {entry}" for entry in value]
+    return "\n".join(lines) + "\n"
+
+
+def render_report_json(report: DecisionReport) -> str:
+    """JSON report mirroring the text rendering field for field."""
+    return json.dumps(_report_document(report), indent=2, ensure_ascii=False) + "\n"
