@@ -40,7 +40,6 @@ from .tableio import (
     write_scale,
     write_table,
 )
-from .cli import run_cli
 
 __version__ = "0.1.0"
 
@@ -85,3 +84,12 @@ __all__ = [
     "write_scale",
     "write_table",
 ]
+
+
+def __getattr__(name):
+    # The CLI loads on first use, so ``python -m softchoice.cli`` runs it as
+    # __main__ without an earlier import, and argparse stays out of ``import softchoice``.
+    if name == "run_cli":
+        from .cli import run_cli
+        return run_cli
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

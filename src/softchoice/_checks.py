@@ -17,7 +17,10 @@ def checked_real(
     if type(value) is not float:  # exact floats, the common case, need no conversion
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise TypeError(f"{name} must be a real number, got {type(value).__name__}")
-        value = float(value)
+        try:
+            value = float(value)
+        except OverflowError:  # an int beyond the float range
+            raise ValueError(f"{name} must be finite, got an int beyond the float range") from None
     if not math.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value!r}")
     if (low is not None and (value <= low if strict else value < low)) or (

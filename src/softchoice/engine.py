@@ -72,9 +72,8 @@ def _describe(cell: Cell) -> str:
     if isinstance(cell, GradeCell):
         return f"grade {cell.label!r}"
     if isinstance(cell, GreyCell):
-        return f"interval [{cell.interval.lower!r};{cell.interval.upper!r}]"
-    triplet = cell.triplet
-    return f"triplet ({triplet.truth!r};{triplet.indeterminacy!r};{triplet.falsity!r})"
+        return f"interval {cell.interval}"
+    return f"triplet {cell.triplet}"
 
 
 class CellMismatchError(ValueError):
@@ -224,25 +223,24 @@ def choice_values_neutrosophic(table: DecisionTable) -> Dict[str, Triplet]:
     )
 
 
-def _require_scores(scores: Mapping[str, Triplet]) -> None:
+def _ranked(
+    scores: Mapping[str, Triplet], key: Callable[[Triplet], float], epsilon: float
+) -> List[str]:
+    """Candidates tied (within epsilon) for the greatest ``key`` of their score."""
     if not scores:
         raise ValueError("ranking requires at least one scored candidate")
+    epsilon = checked_real(epsilon, "epsilon", low=0.0, strict=True)
+    return _argmax_within({candidate: key(score) for candidate, score in scores.items()}, epsilon)
 
 
 def rank_optimistic(scores: Mapping[str, Triplet], epsilon: float = 1e-9) -> List[str]:
     """Candidates tied (within epsilon) for the greatest truth degree."""
-    _require_scores(scores)
-    epsilon = checked_real(epsilon, "epsilon", low=0.0, strict=True)
-    best = max(score.truth for score in scores.values())
-    return [candidate for candidate, score in scores.items() if score.truth >= best - epsilon]
+    return _ranked(scores, attrgetter("truth"), epsilon)
 
 
 def rank_conservative(scores: Mapping[str, Triplet], epsilon: float = 1e-9) -> List[str]:
     """Candidates tied (within epsilon) for the least falsity degree."""
-    _require_scores(scores)
-    epsilon = checked_real(epsilon, "epsilon", low=0.0, strict=True)
-    best = min(score.falsity for score in scores.values())
-    return [candidate for candidate, score in scores.items() if score.falsity <= best + epsilon]
+    return _ranked(scores, lambda score: -score.falsity, epsilon)
 
 
 def rank_combined(scores: Mapping[str, Triplet], epsilon: float = 1e-9) -> List[str]:
@@ -268,12 +266,8 @@ def _combine(
         return both, False
     net = {candidate: score.truth - score.falsity for candidate, score in scores.items()}
     leaders = _argmax_within(net, epsilon)
-    least_doubt = min(scores[candidate].indeterminacy for candidate in leaders)
-    leaders = [
-        candidate for candidate in leaders
-        if scores[candidate].indeterminacy <= least_doubt + epsilon
-    ]
-    return leaders[:1], True
+    doubt = {candidate: -scores[candidate].indeterminacy for candidate in leaders}
+    return _argmax_within(doubt, epsilon)[:1], True
 
 
 _COMBINED_NOTE = (
@@ -299,6 +293,7 @@ def _risk_notes(
     epsilon: float,
 ) -> Dict[str, str]:
     notes: Dict[str, str] = {}
+    shown = {other: _short(scores[other].indeterminacy) for other in contenders}
     for winner in winners:
         doubt = scores[winner].indeterminacy
         clauses = []
@@ -307,11 +302,11 @@ def _risk_notes(
                 continue
             other_doubt = scores[other].indeterminacy
             if doubt > other_doubt + epsilon:
-                clauses.append(f"exceeds {other}'s {_short(other_doubt)}")
+                clauses.append(f"exceeds {other}'s {shown[other]}")
             elif doubt < other_doubt - epsilon:
-                clauses.append(f"is below {other}'s {_short(other_doubt)}")
+                clauses.append(f"is below {other}'s {shown[other]}")
             else:
-                clauses.append(f"matches {other}'s {_short(other_doubt)}")
+                clauses.append(f"matches {other}'s {shown[other]}")
         note = f"indeterminacy {_short(doubt)}"
         if clauses:
             note += " " + "; ".join(clauses)
@@ -320,6 +315,7 @@ def _risk_notes(
 
 
 def _argmax_within(scores: Mapping[str, float], epsilon: float) -> List[str]:
+    """Candidates whose value is within epsilon of the greatest; the one tie rule."""
     best = max(scores.values())
     return [candidate for candidate, value in scores.items() if value >= best - epsilon]
 

@@ -82,10 +82,7 @@ class GradeScale:
             seen.add(label)
         for label, interval in self.entries:
             if interval.lower < 0.0 or interval.upper > 1.0:
-                violations.append(
-                    f"grade {label!r} interval [{interval.lower!r};{interval.upper!r}] "
-                    f"escapes [0, 1]"
-                )
+                violations.append(f"grade {label!r} interval {interval} escapes [0, 1]")
         for index in range(len(self.entries) - 1):
             label_a, a = self.entries[index]
             label_b, b = self.entries[index + 1]

@@ -28,6 +28,10 @@ class GreyNumber:
         object.__setattr__(self, "lower", lower)
         object.__setattr__(self, "upper", upper)
 
+    def __str__(self) -> str:
+        """The interval's table token, ``[lower;upper]``, at full round-trip precision."""
+        return f"[{self.lower!r};{self.upper!r}]"
+
     def __add__(self, other: "GreyNumber") -> "GreyNumber":
         if not isinstance(other, GreyNumber):
             return NotImplemented

@@ -33,6 +33,10 @@ class _Components:
             value = checked_real(getattr(self, name), label, low=0.0, high=self._high)
             object.__setattr__(self, name, value)
 
+    def __str__(self) -> str:
+        """The table token, ``(truth;indeterminacy;falsity)``; a boxed one re-parses exactly."""
+        return f"({self.truth!r};{self.indeterminacy!r};{self.falsity!r})"
+
     def __add__(self, other: "TripletLike") -> "TripletAccumulator":
         if not isinstance(other, _Components):
             return NotImplemented
@@ -44,7 +48,6 @@ class _Components:
     __rmul__ = __mul__
 
 
-@dataclass(frozen=True)
 class Triplet(_Components):
     """Degrees of truth, indeterminacy and falsity, each constrained to [0, 1]."""
 
@@ -55,7 +58,6 @@ class Triplet(_Components):
         return TripletAccumulator(self.truth, self.indeterminacy, self.falsity)
 
 
-@dataclass(frozen=True)
 class TripletAccumulator(_Components):
     """Componentwise sums and scalings of triplets; nonnegative, no upper bound."""
 

@@ -113,39 +113,25 @@ def parse_cell(token: str) -> Cell:
     return _cell_at(token)
 
 
-def _num(value: float) -> str:
-    return repr(value)
-
-
-def _interval_token(interval: GreyNumber) -> str:
-    return f"[{_num(interval.lower)};{_num(interval.upper)}]"
-
-
-def _triplet_token(triplet: Triplet) -> str:
-    return f"({_num(triplet.truth)};{_num(triplet.indeterminacy)};{_num(triplet.falsity)})"
-
-
 def format_cell(cell: Cell) -> str:
     """Canonical token for a cell; floats keep full round-trip precision."""
     if isinstance(cell, BinCell):
         return str(cell.value)
     if isinstance(cell, GradeCell):
         return cell.label
-    if isinstance(cell, GreyCell):
-        return _interval_token(cell.interval)
-    return _triplet_token(cell.triplet)
+    return str(cell.interval if isinstance(cell, GreyCell) else cell.triplet)
 
 
-def _new_ident(text: str, kind: str, seen: list, **where) -> str:
-    """``text`` as a well-formed identifier not in ``seen``; else a ParseError at ``where``."""
+def _add_ident(text: str, kind: str, idents: dict, **where) -> None:
+    """Add ``text`` to ``idents`` if well-formed and new; else a ParseError at ``where``."""
     if not _IDENT_RE.match(text):
         raise ParseError(
             f"{kind} identifier {text!r} must be non-empty and contain no commas or whitespace",
             **where,
         )
-    if text in seen:
+    if text in idents:
         raise ParseError(f"duplicate {kind} identifier {text!r}", **where)
-    return text
+    idents[text] = None
 
 
 def _content_lines(text: str):
@@ -169,16 +155,14 @@ def parse_table(text: str, source: str = "<table>") -> DecisionTable:
             "header must hold a corner field followed by at least one parameter",
             source=source, line=header_line,
         )
-    parameters: list = []
+    parameters: dict = {}  # insertion-ordered, with constant-time duplicate lookups
     for index, name in enumerate(header[1:], start=2):
-        parameters.append(
-            _new_ident(name, "parameter", parameters, source=source, line=header_line, field=index)
-        )
+        _add_ident(name, "parameter", parameters, source=source, line=header_line, field=index)
     body = rows[1:]
     if not body:
         raise ParseError("at least one candidate row is required", source=source, line=header_line)
     width = len(header)
-    candidates = []
+    candidates: dict = {}
     cell_rows = []
     for line_number, fields in body:
         if len(fields) != width:
@@ -186,9 +170,7 @@ def parse_table(text: str, source: str = "<table>") -> DecisionTable:
                 f"expected {width} fields, got {len(fields)}",
                 source=source, line=line_number,
             )
-        candidates.append(
-            _new_ident(fields[0], "candidate", candidates, source=source, line=line_number, field=1)
-        )
+        _add_ident(fields[0], "candidate", candidates, source=source, line=line_number, field=1)
         cell_rows.append(tuple(
             _cell_at(token, source=source, line=line_number, field=index)
             for index, token in enumerate(fields[1:], start=2)
@@ -237,7 +219,7 @@ def parse_scale(text: str, source: str = "<scale>") -> GradeScale:
 
 def write_scale(scale: GradeScale) -> str:
     """Canonical scale document, one entry per line."""
-    lines = [f"{label}={_interval_token(interval)}" for label, interval in scale.entries]
+    lines = [f"{label}={interval}" for label, interval in scale.entries]
     return "\n".join(lines) + "\n"
 
 
@@ -247,7 +229,7 @@ def _report_document(report: DecisionReport) -> dict:
     if report.criterion is not None:
         document["criterion"] = report.criterion.value
     document["scores"] = (
-        {candidate: _triplet_token(score) for candidate, score in report.scores.items()}
+        {candidate: str(score) for candidate, score in report.scores.items()}
         if report.method is Method.NEUTROSOPHIC else dict(report.scores)
     )
     document["winners"] = list(report.winners)

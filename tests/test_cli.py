@@ -1,6 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import softchoice
 
 from softchoice.cli import run_cli
 
@@ -193,3 +199,16 @@ class TestMismatchErrors:
         assert code == 3
         assert not target.exists()
         capsys.readouterr()
+
+
+class TestModuleEntryPoint:
+    def test_python_dash_m_runs_quietly_under_warnings_as_errors(self, docs, capsys):
+        argv = ["decide", "--input", docs["triplet"], "--method", "neutrosophic"]
+        assert run_cli(argv) == 0
+        expected = capsys.readouterr().out
+        env = dict(os.environ, PYTHONPATH=str(Path(softchoice.__file__).parent.parent))
+        child = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "softchoice.cli", *argv],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert (child.returncode, child.stdout, child.stderr) == (0, expected, "")

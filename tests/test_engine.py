@@ -1,6 +1,9 @@
+import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from softchoice.engine import (
     BinCell,
@@ -370,3 +373,133 @@ class TestTableConstruction:
 
     def test_cell_lookup_by_identifiers(self, graded_table):
         assert graded_table.cell("P4", "e1") == GradeCell("D")
+
+
+# Scores drawn often from a few dyadic values, so that exact ties and
+# boundary cases come up, and epsilons from subnormal to huge.
+_degrees = st.one_of(
+    st.sampled_from((0.0, 0.25, 0.5, 0.75, 1.0)),
+    st.floats(min_value=0.0, max_value=1.0),
+)
+_score_maps = st.lists(
+    st.builds(Triplet, _degrees, _degrees, _degrees), min_size=1, max_size=8
+).map(lambda triplets: {f"c{i}": t for i, t in enumerate(triplets, start=1)})
+_epsilons = st.one_of(
+    st.sampled_from((1e-9, 0.25, 0.5)),
+    st.floats(min_value=5e-324, max_value=1e300),
+)
+
+
+def _oracle_optimistic(scores, eps):
+    max_truth = max(score.truth for score in scores.values())
+    return [c for c in scores if scores[c].truth >= max_truth - eps]
+
+
+def _oracle_conservative(scores, eps):
+    min_falsity = min(score.falsity for score in scores.values())
+    return [c for c in scores if scores[c].falsity <= min_falsity + eps]
+
+
+def _oracle_combined(scores, eps):
+    conservative = _oracle_conservative(scores, eps)
+    both = [c for c in _oracle_optimistic(scores, eps) if c in conservative]
+    if both:
+        return both
+    net = {c: score.truth - score.falsity for c, score in scores.items()}
+    max_net = max(net.values())
+    leaders = [c for c in scores if net[c] >= max_net - eps]
+    min_doubt = min(scores[c].indeterminacy for c in leaders)
+    return [c for c in leaders if scores[c].indeterminacy <= min_doubt + eps][:1]
+
+
+class TestRankingOracles:
+    @settings(max_examples=300, deadline=None)
+    @given(_score_maps, _epsilons)
+    def test_optimistic(self, scores, eps):
+        assert rank_optimistic(scores, eps) == _oracle_optimistic(scores, eps)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_score_maps, _epsilons)
+    def test_conservative(self, scores, eps):
+        assert rank_conservative(scores, eps) == _oracle_conservative(scores, eps)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_score_maps, _epsilons)
+    def test_combined(self, scores, eps):
+        assert rank_combined(scores, eps) == _oracle_combined(scores, eps)
+
+
+class TestTieBoundaries:
+    """A value exactly epsilon from the best ties; one float step further does not."""
+
+    def test_binary_winners(self):
+        table = DecisionTable(("a", "b"), ("e1", "e2"), (
+            (BinCell(1), BinCell(0)),
+            (BinCell(0), BinCell(0)),
+        ))
+        assert decide(table, "binary", epsilon=1.0).winners == ("a", "b")
+        assert decide(table, "binary", epsilon=math.nextafter(1.0, 0.0)).winners == ("a",)
+
+    def test_grey_winners(self):
+        def table(b):
+            return DecisionTable(("a", "b"), ("e",), (
+                (GreyCell(GreyNumber(0.75, 0.75)),),
+                (GreyCell(GreyNumber(b, b)),),
+            ))
+
+        assert decide(table(0.5), "grey", epsilon=0.25).winners == ("a", "b")
+        assert decide(table(math.nextafter(0.5, 0.0)), "grey", epsilon=0.25).winners == ("a",)
+
+    def test_optimistic(self):
+        def scores(truth):
+            return {"a": Triplet(0.75, 0.0, 0.0), "b": Triplet(truth, 0.0, 0.0)}
+
+        assert rank_optimistic(scores(0.5), 0.25) == ["a", "b"]
+        assert rank_optimistic(scores(math.nextafter(0.5, 0.0)), 0.25) == ["a"]
+
+    def test_conservative(self):
+        def scores(falsity):
+            return {"a": Triplet(0.0, 0.0, 0.25), "b": Triplet(0.0, 0.0, falsity)}
+
+        assert rank_conservative(scores(0.5), 0.25) == ["a", "b"]
+        assert rank_conservative(scores(math.nextafter(0.5, 1.0)), 0.25) == ["a"]
+
+    def test_combined_fallback_net_score(self):
+        eps = 0.0625
+
+        def scores(falsity):
+            # optimistic -> hi, conservative -> lo; nets 0.25 and 0.5 - falsity
+            return {"hi": Triplet(0.75, 0.5, 0.5), "lo": Triplet(0.5, 0.0, falsity)}
+
+        assert rank_combined(scores(0.3125), eps) == ["lo"]
+        assert rank_combined(scores(math.nextafter(0.3125, 1.0)), eps) == ["hi"]
+
+    def test_combined_fallback_indeterminacy(self):
+        eps = 0.0625
+
+        def scores(doubt):
+            # disjoint criteria, both nets 0.25; lo's indeterminacy is the least
+            return {"hi": Triplet(0.75, doubt, 0.5), "lo": Triplet(0.5, 0.25, 0.25)}
+
+        assert rank_combined(scores(0.3125), eps) == ["hi"]
+        assert rank_combined(scores(math.nextafter(0.3125, 1.0)), eps) == ["lo"]
+
+
+class TestMismatchMessages:
+    def test_interval_cell(self):
+        table = DecisionTable(("c",), ("e",), ((GreyCell(GreyNumber(0.6, 0.74)),),))
+        with pytest.raises(CellMismatchError) as excinfo:
+            choice_values_binary(table)
+        assert str(excinfo.value) == (
+            "method 'binary' cannot use cell (c, e): found interval [0.6;0.74]; "
+            "only 0/1 cells are allowed"
+        )
+
+    def test_triplet_cell(self):
+        table = DecisionTable(("c",), ("e",), ((NeutroCell(Triplet(0.5, 0.1, 1)),),))
+        with pytest.raises(CellMismatchError) as excinfo:
+            choice_values_grey(table, default_scale())
+        assert str(excinfo.value) == (
+            "method 'grey' cannot use cell (c, e): found triplet (0.5;0.1;1.0); "
+            "only 0/1, grade and interval cells are allowed"
+        )

@@ -63,6 +63,10 @@ class TestValidation:
         scale = GradeScale((("A", GreyNumber(0.9, 1.2)), ("B", GreyNumber(0.1, 0.2))))
         assert any("escapes" in violation for violation in scale.validate())
 
+    def test_escaping_interval_message(self):
+        scale = GradeScale((("X", GreyNumber(1.2, 1.5)),))
+        assert scale.validate() == ["grade 'X' interval [1.2;1.5] escapes [0, 1]"]
+
     def test_ascending_order_reported(self):
         scale = GradeScale((("F", GreyNumber(0.0, 0.1)), ("A", GreyNumber(0.9, 1.0))))
         assert any("descending" in violation for violation in scale.validate())

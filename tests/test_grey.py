@@ -25,7 +25,11 @@ class TestConstruction:
         with pytest.raises(ValueError, match="lower"):
             GreyNumber(0.8, 0.2)
 
-    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("bad", [
+        float("nan"), float("inf"), -float("inf"),
+        pytest.param(10**400, id="int-above-float-range"),
+        pytest.param(-10**400, id="int-below-float-range"),
+    ])
     def test_non_finite_rejected(self, bad):
         with pytest.raises(ValueError, match="finite"):
             GreyNumber(bad, 1.0)

@@ -137,6 +137,10 @@ class TestClassification:
         with pytest.raises(ValueError):
             classify_information(Triplet(1, 0, 0), epsilon=0.0)
 
+    def test_int_epsilon_beyond_the_float_range_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            classify_information(Triplet(1, 0, 0), epsilon=10**400)
+
 
 class TestAlgebraicLaws:
     @settings(max_examples=300)

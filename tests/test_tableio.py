@@ -2,6 +2,8 @@ import json
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from softchoice.engine import (
     BinCell,
@@ -154,6 +156,18 @@ class TestWriteTable:
             NeutroCell(Triplet(2 / 3, 1e-7, 0.25)),
         ):
             assert parse_cell(format_cell(cell)) == cell
+
+    @given(
+        st.lists(st.floats(min_value=0.0, max_value=1e300), min_size=2, max_size=2),
+        st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=3, max_size=3),
+    )
+    def test_str_of_a_value_is_its_cell_token(self, endpoints, degrees):
+        interval = GreyNumber(min(endpoints), max(endpoints))
+        triplet = Triplet(*degrees)
+        assert parse_cell(str(interval)) == GreyCell(interval)
+        assert parse_cell(str(triplet)) == NeutroCell(triplet)
+        assert str(interval) == format_cell(GreyCell(interval))
+        assert str(triplet) == format_cell(NeutroCell(triplet))
 
     def test_binary_matrix_serializes_to_the_same_dialect(self):
         matrix = BinaryTable(("H1", "H2"), ("cheap", "nice"), ((1, 0), (1, 1)))
