@@ -1,13 +1,14 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 usage error, 2 parse/validation error (including
-unreadable files, unknown grade labels and grey scores beyond the float
-range), 3 method/cell mismatch.
+unreadable input files, unwritable output files, unknown grade labels and
+grey scores beyond the float range), 3 method/cell mismatch.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import Any, Callable, Optional, Sequence
 
@@ -97,6 +98,34 @@ def _load(path: str, parse: Callable[..., Any]) -> Any:
         raise _InvalidInput(f"{path}: {exc}") from None
 
 
+def _write_report(path: str, text: str) -> None:
+    """Write the whole report to ``path`` or leave what was there untouched.
+
+    The text goes to a new file beside the target, which is then renamed
+    onto it; on any failure the new file is removed. A target that exists
+    but is not a regular file (a pipe or a device such as /dev/stdout)
+    cannot be renamed onto, so it is written in place.
+    """
+    target = os.path.realpath(path)
+    if os.path.exists(target) and not os.path.isfile(target):
+        with open(target, "w", encoding="utf-8", newline="") as handle:
+            handle.write(text)
+        return
+    directory, name = os.path.split(target)
+    temporary = os.path.join(directory, f".{name}.{os.urandom(6).hex()}.tmp")
+    descriptor = os.open(temporary, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with open(descriptor, "w", encoding="utf-8", newline="") as handle:
+            handle.write(text)
+        os.replace(temporary, target)
+    except BaseException:
+        try:
+            os.unlink(temporary)
+        except OSError:
+            pass
+        raise
+
+
 def run_cli(argv: Optional[Sequence[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
@@ -142,8 +171,7 @@ def run_cli(argv: Optional[Sequence[str]] = None) -> int:
         sys.stdout.write(rendered)
     else:
         try:
-            with open(options.output, "w", encoding="utf-8", newline="") as handle:
-                handle.write(rendered)
+            _write_report(options.output, rendered)
         except OSError as exc:
             return _fail(EXIT_INVALID, f"cannot write {options.output}: {exc}")
     return EXIT_OK

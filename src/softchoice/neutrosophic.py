@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Tuple, Union
 
 from ._checks import checked_real
@@ -92,18 +91,18 @@ def scale(k: float, a: TripletLike) -> TripletAccumulator:
 
 
 def mean(items: Iterable[Tuple[Triplet, int]]) -> Triplet:
-    """Multiplicity-weighted mean of triplets.
+    """Multiplicity-weighted mean of triplets, exact and rounded once.
 
-    Accumulates in exact rational arithmetic and divides by the total count
-    once, so a single repeated item comes back unchanged and splitting a
-    multiplicity across several entries cannot change the result. The mean
-    is a convex combination, hence always a valid boxed triplet.
+    A float ``n / 2**k`` in [0, 1] is ``n << (1074 - k)`` units of ``2**-1074``
+    (``2**k`` has bit length ``k + 1``), so the weighted component sums are
+    exact ints; one int/int true division, which CPython rounds correctly,
+    ends each. A repeated item comes back unchanged, splitting or reordering
+    entries cannot change the result, and the convex mean stays in the box.
     """
     entries = list(items)
     if not entries:
         raise ValueError("mean requires at least one (triplet, multiplicity) entry")
-    total = 0
-    sum_t = sum_i = sum_f = Fraction(0)
+    total = sum_t = sum_i = sum_f = 0
     for entry in entries:
         try:
             triplet, count = entry
@@ -116,10 +115,13 @@ def mean(items: Iterable[Tuple[Triplet, int]]) -> Triplet:
         if count < 1:
             raise ValueError(f"multiplicity must be >= 1, got {count}")
         total += count
-        sum_t += count * Fraction(triplet.truth)
-        sum_i += count * Fraction(triplet.indeterminacy)
-        sum_f += count * Fraction(triplet.falsity)
-    return Triplet(float(sum_t / total), float(sum_i / total), float(sum_f / total))
+        n_t, d_t = triplet.truth.as_integer_ratio()
+        n_i, d_i = triplet.indeterminacy.as_integer_ratio()
+        n_f, d_f = triplet.falsity.as_integer_ratio()
+        sum_t += count * n_t << 1075 - d_t.bit_length()
+        sum_i += count * n_i << 1075 - d_i.bit_length()
+        sum_f += count * n_f << 1075 - d_f.bit_length()
+    return Triplet(*(part / (total << 1074) for part in (sum_t, sum_i, sum_f)))
 
 
 class InformationClass(enum.Enum):

@@ -181,9 +181,7 @@ def test_c5_algebra_property_suite():
                 split.extend([(triplet, cut), (triplet, count - cut)])
             else:
                 split.append((triplet, count))
-        parts = mean(split)
-        for name in COMPONENTS:
-            assert abs(getattr(value, name) - getattr(parts, name)) <= 1e-12
+        assert mean(split) == value
     _passed(5, "algebra property suite, 1000 cases per law")
 
 
@@ -209,7 +207,7 @@ def test_c6_embedding_consistency_suite():
 
 def test_c7_equivariance_suite():
     rng = random.Random(73)
-    tolerances = {"binary": 0.0, "grey": 1e-12, "neutrosophic": 1e-12}
+    tolerances = {"binary": 0.0, "grey": 1e-12, "neutrosophic": 0.0}
     for index in range(200):
         method = ("binary", "grey", "neutrosophic")[index % 3]
         table = _random_method_table(rng, method)

@@ -1,3 +1,4 @@
+import errno
 import json
 import os
 import subprocess
@@ -5,9 +6,12 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import softchoice
 
+from softchoice import cli
 from softchoice.cli import run_cli
 
 from conftest import BINARY_DOC, DEFAULT_SCALE_DOC, GRADED_DOC, TRIPLET_DOC
@@ -201,6 +205,66 @@ class TestMismatchErrors:
         capsys.readouterr()
 
 
+class TestOutputFile:
+    def test_failed_write_keeps_the_old_report_and_leaves_no_temporary(
+        self, docs, tmp_path, monkeypatch, capsys,
+    ):
+        directory = tmp_path / "reports"
+        directory.mkdir()
+        target = directory / "report.txt"
+        target.write_bytes(b"an earlier report\r\n")
+        real_open = open
+
+        def open_failing_midway(file, mode="r", *args, **kwargs):
+            handle = real_open(file, mode, *args, **kwargs)
+            if "w" in mode:
+                def write(text):
+                    handle.buffer.write(text[: len(text) // 2].encode("utf-8"))
+                    handle.flush()
+                    raise OSError(errno.ENOSPC, "No space left on device")
+                handle.write = write
+            return handle
+
+        monkeypatch.setattr(cli, "open", open_failing_midway, raising=False)
+        code = run_cli([
+            "decide", "--input", docs["binary"], "--method", "binary",
+            "--output", str(target),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "cannot write" in err and str(target) in err
+        assert target.read_bytes() == b"an earlier report\r\n"
+        assert os.listdir(directory) == ["report.txt"]
+
+    def test_existing_report_is_replaced_whole(self, docs, tmp_path, capsys):
+        target = tmp_path / "report.txt"
+        target.write_text("x" * 10_000, encoding="utf-8")
+        argv = ["decide", "--input", docs["binary"], "--method", "binary"]
+        assert run_cli(argv) == 0
+        expected = capsys.readouterr().out
+        assert run_cli([*argv, "--output", str(target)]) == 0
+        assert target.read_text(encoding="utf-8") == expected
+        assert [name for name in os.listdir(tmp_path) if name.endswith(".tmp")] == []
+
+    def test_missing_directory_is_a_validation_error(self, docs, tmp_path, capsys):
+        target = tmp_path / "absent" / "report.txt"
+        code = run_cli([
+            "decide", "--input", docs["binary"], "--method", "binary",
+            "--output", str(target),
+        ])
+        assert code == 2
+        assert str(target) in capsys.readouterr().err
+
+    @pytest.mark.skipif(not os.path.exists(os.devnull), reason="no null device")
+    def test_device_target_is_written_in_place(self, docs, capsys):
+        code = run_cli([
+            "decide", "--input", docs["binary"], "--method", "binary",
+            "--output", os.devnull,
+        ])
+        assert code == 0
+        assert capsys.readouterr() == ("", "")
+
+
 class TestModuleEntryPoint:
     def test_python_dash_m_runs_quietly_under_warnings_as_errors(self, docs, capsys):
         argv = ["decide", "--input", docs["triplet"], "--method", "neutrosophic"]
@@ -212,3 +276,96 @@ class TestModuleEntryPoint:
             capture_output=True, text=True, env=env, timeout=60,
         )
         assert (child.returncode, child.stdout, child.stderr) == (0, expected, "")
+
+
+def test_importing_the_cli_loads_no_exact_arithmetic_modules():
+    """``fractions`` and ``decimal`` cost milliseconds of every run's start; none is needed."""
+    probe = (
+        "import sys\n"
+        "bare = set(sys.modules)\n"
+        "import softchoice.cli\n"
+        "print(*(f'{name}:{name in bare}:{name in sys.modules}' for name in ('fractions', 'decimal')))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(softchoice.__file__).parent.parent))
+    child = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert child.returncode == 0, child.stderr
+    states = [field.split(":") for field in child.stdout.split()]
+    watched = [(name, loaded) for name, bare, loaded in states if bare == "False"]
+    if not watched:
+        pytest.skip("the bare interpreter already loads fractions and decimal")
+    assert [name for name, loaded in watched if loaded == "True"] == []
+
+
+# Cell tokens by the methods that accept them, with malformed and extreme ones
+# (1e400, 5e-324, nan, empty components) mixed in; most documents are well
+# shaped, so examples reach the cell parser, the engine and the renderers.
+_BINARY_TOKENS = ["0", "1", " 1", "1 "]
+_GREY_TOKENS = [*_BINARY_TOKENS, "A", "B", "F", "[0.2;0.4]", "[5e-324;1]", "[1e308;1.7e308]"]
+_TRIPLET_TOKENS = [*_BINARY_TOKENS, "(0.1;0.2;0.3)", "(5e-324;0;1)", "(1;1;1)"]
+_BAD_TOKENS = [
+    "", "2", "E", "x", "[0.4;0.2]", "[1e400;2]", "[nan;1]", "[;]", "[0.2;0.4",
+    "(1e400;0;0)", "(nan;0;0)", "(-0;0;0)", "(;;)", "(0.5;0.5)", "(0.1;0.2;0.3", '"1"', "P1",
+]
+_ALL_TOKENS = sorted(set(_GREY_TOKENS + _TRIPLET_TOKENS + _BAD_TOKENS))
+
+
+@st.composite
+def _fuzz_documents(draw):
+    """Document bytes: mostly a table of fuzz tokens, sometimes any text or any bytes."""
+    def rarely(usual, *odd):  # the usual value, or now and then an odd one
+        return draw(st.sampled_from([usual] * 9 + list(odd)))
+
+    anything = rarely(None, st.text(max_size=60).map(str.encode), st.binary(max_size=60))
+    if anything is not None:
+        return draw(anything)
+    palette = draw(st.sampled_from([_BINARY_TOKENS, _GREY_TOKENS, _TRIPLET_TOKENS, _ALL_TOKENS]))
+    columns = draw(st.integers(min_value=1, max_value=4))
+    rows = rarely(draw(st.integers(min_value=1, max_value=4)), 0)
+    lines = ["," + ",".join(rarely(f"e{j}", "e0", "", "a b") for j in range(columns))]
+    for i in range(rows):
+        cells = [draw(st.sampled_from(palette)) for _ in range(columns)]
+        cells = rarely(cells, cells[1:], [*cells, "1"])  # or a ragged row
+        lines.append(",".join([rarely(f"P{i}", "P0", ""), *cells]))
+    newline = rarely(draw(st.sampled_from(["\n", "\r\n"])), "\r")
+    bom = draw(st.sampled_from(["", "\ufeff"]))
+    return (bom + newline.join(lines) + draw(st.sampled_from(["", newline]))).encode()
+
+
+_METHODS = ("binary", "grey", "neutrosophic")
+_CRITERIA = ([], ["--criterion", "optimistic"], ["--criterion", "conservative"],
+             ["--criterion", "combined"])
+_VALID_EPSILONS = ([], ["--epsilon", "0.5"], ["--epsilon", "5e-324"])
+_EPSILONS = (*_VALID_EPSILONS, ["--epsilon", "0"], ["--epsilon", "nan"], ["--epsilon", "1e400"])
+# Every combination, with the ones that pass the usage checks drawn more often.
+_fuzz_flags = st.one_of(
+    st.sampled_from([
+        ["--method", method, *criterion, *epsilon]
+        for method in _METHODS for criterion in _CRITERIA for epsilon in _VALID_EPSILONS
+        if method == "neutrosophic" or not criterion
+    ]),
+    st.sampled_from([
+        ["--method", method, *criterion, *epsilon]
+        for method in _METHODS for criterion in _CRITERIA for epsilon in _EPSILONS
+    ]),
+)
+
+
+@settings(
+    max_examples=250, deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
+)
+@given(document=_fuzz_documents(), flags=_fuzz_flags, json_format=st.booleans())
+def test_cli_contract_on_arbitrary_tables(tmp_path, capsys, document, flags, json_format):
+    """Any table and flags end in exit code 0-3; codes 2 and 3 name the input file."""
+    path = tmp_path / "fuzz.csv"
+    path.write_bytes(document)
+    argv = ["decide", "--input", str(path), *flags]
+    if json_format:
+        argv += ["--format", "json"]
+    code = run_cli(argv)
+    err = capsys.readouterr().err
+    assert code in (0, 1, 2, 3)
+    if code in (2, 3):
+        assert str(path) in err

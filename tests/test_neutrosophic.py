@@ -1,7 +1,8 @@
+import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from softchoice.neutrosophic import (
@@ -17,6 +18,32 @@ from softchoice.neutrosophic import (
 degrees = st.floats(min_value=0.0, max_value=1.0, allow_nan=False, allow_infinity=False)
 triplets = st.builds(Triplet, degrees, degrees, degrees)
 multiplicities = st.integers(min_value=1, max_value=20)
+
+# Components that stress exact accumulation: the two embedded corners, the
+# 3-decimal values of real tables, subnormals and their multiples, and
+# values whose binary exponents lie far apart.
+hard_degrees = st.one_of(
+    st.sampled_from([0.0, 1.0]),
+    st.integers(min_value=0, max_value=1000).map(lambda n: n / 1000),
+    st.integers(min_value=1, max_value=2**20).map(lambda n: n * 5e-324),
+    st.builds(
+        math.ldexp,
+        st.floats(min_value=0.5, max_value=1.0, exclude_max=True),
+        st.integers(min_value=-1074, max_value=0),
+    ),
+    degrees,
+)
+hard_triplets = st.builds(Triplet, hard_degrees, hard_degrees, hard_degrees)
+huge_multiplicities = st.one_of(multiplicities, st.integers(min_value=1, max_value=10**30))
+
+
+def fraction_mean(items):
+    """The exact weighted mean of each component, rounded to a float once."""
+    total = sum(count for _, count in items)
+    return tuple(
+        float(sum(count * Fraction(getattr(triplet, name)) for triplet, count in items) / total)
+        for name in ("truth", "indeterminacy", "falsity")
+    )
 
 
 class TestTriplet:
@@ -112,6 +139,22 @@ class TestMean:
         with pytest.raises(TypeError, match="multiplicity"):
             mean([(Triplet(1, 0, 0), 1.5)])
 
+    @pytest.mark.parametrize("entry", [Triplet(1, 0, 0), (Triplet(1, 0, 0),), 7])
+    def test_non_pair_entry_rejected(self, entry):
+        with pytest.raises(TypeError, match=r"mean expects \(triplet, multiplicity\) pairs"):
+            mean([entry])
+
+    def test_accumulator_value_rejected(self):
+        with pytest.raises(TypeError, match="mean expects Triplet values, got TripletAccumulator"):
+            mean([(TripletAccumulator(0.5, 0.5, 0.5), 1)])
+
+    @settings(max_examples=400)
+    @given(st.lists(st.tuples(hard_triplets, huge_multiplicities), min_size=1, max_size=8))
+    @example([(Triplet(5e-324, 1.0, 0.0), 10**30), (Triplet(0.001, 0.0, 2.0**-1000), 3)])
+    def test_matches_the_fraction_oracle_bit_for_bit(self, items):
+        value = mean(items)
+        assert (value.truth, value.indeterminacy, value.falsity) == fraction_mean(items)
+
 
 class TestClassification:
     def test_overcommitted_judgement_is_inconsistent(self):
@@ -179,10 +222,7 @@ class TestAlgebraicLaws:
                 split.extend([(triplet, cut), (triplet, count - cut)])
             else:
                 split.append((triplet, count))
-        whole = mean(items)
-        parts = mean(split)
-        for name in ("truth", "indeterminacy", "falsity"):
-            assert getattr(whole, name) == pytest.approx(getattr(parts, name), abs=1e-12)
+        assert mean(items) == mean(split)
 
     @settings(max_examples=300)
     @given(triplets)
