@@ -18,7 +18,7 @@ from operator import attrgetter
 from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple, Union
 
 from ._checks import checked_real
-from .grades import GradeScale, ScaleValidationError, default_scale
+from .grades import GradeScale, ScaleValidationError, UnknownGradeError, default_scale
 from .grey import GreyNumber
 from .neutrosophic import Triplet, mean
 from .softset import _checked_grid
@@ -164,7 +164,11 @@ def _fold_rows(
         for parameter, cell in zip(table.parameters, row):
             for kind, contribute in contributions:
                 if isinstance(cell, kind):
-                    parts.append(contribute(cell))
+                    try:
+                        parts.append(contribute(cell))
+                    except UnknownGradeError as exc:  # the scale lookup cannot name the cell
+                        exc.cell = (candidate, parameter)
+                        raise
                     break
             else:
                 raise CellMismatchError(method.value, candidate, parameter, _describe(cell), hint)

@@ -3,21 +3,23 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 from .grey import GreyNumber
 
 
 class UnknownGradeError(KeyError):
-    """A grade label that the scale does not define."""
+    """A grade label the scale does not define; ``cell`` is its (candidate, parameter), if known."""
 
     def __init__(self, label: str, known: Tuple[str, ...]):
         super().__init__(label)
         self.label = label
         self.known = tuple(known)
+        self.cell: Optional[Tuple[str, str]] = None
 
     def __str__(self) -> str:
-        return f"unknown grade {self.label!r}; the scale defines {', '.join(self.known)}"
+        where = "" if self.cell is None else " in cell ({}, {})".format(*self.cell)
+        return f"unknown grade {self.label!r}{where}; the scale defines {', '.join(self.known)}"
 
 
 class ScaleValidationError(ValueError):

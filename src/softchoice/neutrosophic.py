@@ -53,9 +53,6 @@ class Triplet(_Components):
     _high = 1.0
     _labels = ("truth degree", "indeterminacy degree", "falsity degree")
 
-    def accumulator(self) -> "TripletAccumulator":
-        return TripletAccumulator(self.truth, self.indeterminacy, self.falsity)
-
 
 class TripletAccumulator(_Components):
     """Componentwise sums and scalings of triplets; nonnegative, no upper bound."""
@@ -99,11 +96,8 @@ def mean(items: Iterable[Tuple[Triplet, int]]) -> Triplet:
     ends each. A repeated item comes back unchanged, splitting or reordering
     entries cannot change the result, and the convex mean stays in the box.
     """
-    entries = list(items)
-    if not entries:
-        raise ValueError("mean requires at least one (triplet, multiplicity) entry")
     total = sum_t = sum_i = sum_f = 0
-    for entry in entries:
+    for entry in items:
         try:
             triplet, count = entry
         except (TypeError, ValueError):
@@ -121,6 +115,8 @@ def mean(items: Iterable[Tuple[Triplet, int]]) -> Triplet:
         sum_t += count * n_t << 1075 - d_t.bit_length()
         sum_i += count * n_i << 1075 - d_i.bit_length()
         sum_f += count * n_f << 1075 - d_f.bit_length()
+    if not total:
+        raise ValueError("mean requires at least one (triplet, multiplicity) entry")
     return Triplet(*(part / (total << 1074) for part in (sum_t, sum_i, sum_f)))
 
 

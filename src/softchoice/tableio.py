@@ -76,10 +76,10 @@ def _parse_number(text: str) -> float:
     return float(text)
 
 
-# Opening bracket -> (closing bracket, token kind, component count, cell builder).
+# Opening bracket -> (closing bracket, token kind, component count, cell type, value type).
 _BRACKETED = {
-    "[": ("]", "interval", 2, lambda lower, upper: GreyCell(GreyNumber(lower, upper))),
-    "(": (")", "triplet", 3, lambda t, i, f: NeutroCell(Triplet(t, i, f))),
+    "[": ("]", "interval", 2, GreyCell, GreyNumber),
+    "(": (")", "triplet", 3, NeutroCell, Triplet),
 }
 
 
@@ -88,29 +88,24 @@ def _parse_cell(token: str) -> Cell:
         return BinCell(int(token))
     bracketed = _BRACKETED.get(token[:1])
     if bracketed is not None:
-        close, kind, count, build = bracketed
+        close, kind, count, cell_type, value_type = bracketed
         if not token.endswith(close):
             raise ValueError(f"malformed {kind} token {token!r}")
         parts = token[1:-1].split(";")
         if len(parts) != count:
             raise ValueError(f"{kind} token {token!r} needs {count} components, got {len(parts)}")
-        return build(*map(_parse_number, parts))
+        return cell_type(value_type(*map(_parse_number, parts)))
     if _LABEL_RE.match(token):
         return GradeCell(token)
     raise ValueError(f"malformed cell token {token!r}")
 
 
-def _cell_at(token: str, **where) -> Cell:
-    """Parse a cell token; a malformed one is a ParseError at ``where``."""
+def parse_cell(token: str) -> Cell:
+    """Parse a single cell token."""
     try:
         return _parse_cell(token)
     except ValueError as exc:
-        raise ParseError(str(exc), **where) from None
-
-
-def parse_cell(token: str) -> Cell:
-    """Parse a single cell token."""
-    return _cell_at(token)
+        raise ParseError(str(exc)) from None
 
 
 def format_cell(cell: Cell) -> str:
@@ -142,14 +137,12 @@ def _content_lines(text: str):
 
 
 def parse_table(text: str, source: str = "<table>") -> DecisionTable:
-    """Parse a table document into a decision table."""
-    rows = [
-        (line_number, [part.strip() for part in line.split(",")])
-        for line_number, line in _content_lines(text)
-    ]
-    if not rows:
+    """Parse a table document into a decision table, one line at a time."""
+    lines = _content_lines(text)
+    header_line, line = next(lines, (None, None))
+    if line is None:
         raise ParseError("empty document: a header row is required", source=source)
-    header_line, header = rows[0]
+    header = [part.strip() for part in line.split(",")]
     if len(header) < 2:
         raise ParseError(
             "header must hold a corner field followed by at least one parameter",
@@ -158,23 +151,24 @@ def parse_table(text: str, source: str = "<table>") -> DecisionTable:
     parameters: dict = {}  # insertion-ordered, with constant-time duplicate lookups
     for index, name in enumerate(header[1:], start=2):
         _add_ident(name, "parameter", parameters, source=source, line=header_line, field=index)
-    body = rows[1:]
-    if not body:
-        raise ParseError("at least one candidate row is required", source=source, line=header_line)
     width = len(header)
     candidates: dict = {}
     cell_rows = []
-    for line_number, fields in body:
+    for line_number, line in lines:
+        where = {"source": source, "line": line_number}
+        fields = [part.strip() for part in line.split(",")]
         if len(fields) != width:
-            raise ParseError(
-                f"expected {width} fields, got {len(fields)}",
-                source=source, line=line_number,
-            )
-        _add_ident(fields[0], "candidate", candidates, source=source, line=line_number, field=1)
-        cell_rows.append(tuple(
-            _cell_at(token, source=source, line=line_number, field=index)
-            for index, token in enumerate(fields[1:], start=2)
-        ))
+            raise ParseError(f"expected {width} fields, got {len(fields)}", **where)
+        _add_ident(fields[0], "candidate", candidates, field=1, **where)
+        cells = []
+        try:
+            for token in fields[1:]:
+                cells.append(_parse_cell(token))
+        except ValueError as exc:  # the failing token is the one after the cells read so far
+            raise ParseError(str(exc), field=len(cells) + 2, **where) from None
+        cell_rows.append(tuple(cells))
+    if not cell_rows:
+        raise ParseError("at least one candidate row is required", source=source, line=header_line)
     return DecisionTable(tuple(candidates), tuple(parameters), tuple(cell_rows))
 
 
@@ -206,8 +200,10 @@ def parse_scale(text: str, source: str = "<scale>") -> GradeScale:
                     source=source, line=line_number, field=index,
                 )
             label, interval_token = match.groups()
-            cell = _cell_at(interval_token, source=source, line=line_number, field=index)
-            entries.append((label, cell.interval))
+            try:
+                entries.append((label, _parse_cell(interval_token).interval))
+            except ValueError as exc:
+                raise ParseError(str(exc), source=source, line=line_number, field=index) from None
     if not entries:
         raise ParseError("empty scale document", source=source)
     scale = GradeScale(tuple(entries))

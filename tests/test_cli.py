@@ -205,6 +205,68 @@ class TestMismatchErrors:
         capsys.readouterr()
 
 
+# Malformed inputs with the exact exit code and stderr of each run; {table} and
+# {scale} stand for the paths given.
+_ERROR_GOLDENS = {
+    "ragged-row": (
+        ",e1,e2\nc1,1\n", None, ["--method", "binary"],
+        2, "error: {table}:2: expected 3 fields, got 2\n",
+    ),
+    "duplicate-candidate": (
+        ",e1\nc1,1\nc1,0\n", None, ["--method", "binary"],
+        2, "error: {table}:3 field 1: duplicate candidate identifier 'c1'\n",
+    ),
+    "duplicate-parameter": (
+        ",e1,e1\nc1,1,0\n", None, ["--method", "binary"],
+        2, "error: {table}:1 field 3: duplicate parameter identifier 'e1'\n",
+    ),
+    "bad-last-column-after-blank-line": (
+        ",e1,e2,e3\nc1,1,0,1\n\nc2,0,1,(0.5;0.5)\n", None, ["--method", "neutrosophic"],
+        2, "error: {table}:4 field 4: triplet token '(0.5;0.5)' needs 3 components, got 2\n",
+    ),
+    "overflow-in-crlf-row": (
+        ",e1,e2,e3\r\nc1,1,[1e400;1],0\r\n", None, ["--method", "grey"],
+        2, "error: {table}:2 field 3: lower endpoint must be finite, got inf\n",
+    ),
+    "empty-document": (
+        "\n\n", None, ["--method", "binary"],
+        2, "error: {table}: empty document: a header row is required\n",
+    ),
+    "header-only": (
+        ",e1,e2\n", None, ["--method", "binary"],
+        2, "error: {table}:1: at least one candidate row is required\n",
+    ),
+    "malformed-scale-entry": (
+        ",e1\nc1,A\n", "A=[0.9;1] B:[0;0.5]\n", ["--method", "grey"],
+        2, "error: {scale}:1 field 2: malformed scale entry 'B:[0;0.5]' "
+           "(expected LABEL=[lower;upper])\n",
+    ),
+    "bad-scale-interval": (
+        ",e1\nc1,A\n", "A=[0.9;1]\n\nB=[0.5;0.2]\n", ["--method", "grey"],
+        2, "error: {scale}:3 field 1: invalid interval: lower 0.5 > upper 0.2\n",
+    ),
+    "unknown-grade": (
+        ",e1\nc1,E\n", None, ["--method", "grey"],
+        2, "error: {table}: unknown grade 'E' in cell (c1, e1); the scale defines A, B, C, D, F\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(_ERROR_GOLDENS))
+def test_error_report_is_byte_identical(tmp_path, capsys, case):
+    table_doc, scale_doc, flags, expected_code, expected_err = _ERROR_GOLDENS[case]
+    table, scale = tmp_path / "table.csv", tmp_path / "scale.txt"
+    table.write_bytes(table_doc.encode())
+    argv = ["decide", "--input", str(table), *flags]
+    if scale_doc is not None:
+        scale.write_bytes(scale_doc.encode())
+        argv += ["--scale", str(scale)]
+    code = run_cli(argv)
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (expected_code, "")
+    assert captured.err == expected_err.format(table=table, scale=scale)
+
+
 class TestOutputFile:
     def test_failed_write_keeps_the_old_report_and_leaves_no_temporary(
         self, docs, tmp_path, monkeypatch, capsys,
@@ -369,3 +431,49 @@ def test_cli_contract_on_arbitrary_tables(tmp_path, capsys, document, flags, jso
     assert code in (0, 1, 2, 3)
     if code in (2, 3):
         assert str(path) in err
+
+
+# Scale entries: the built-in grades, an overlapping one and malformed or
+# extreme ones; labels repeat and come in any order, so duplicate, overlapping
+# and ascending scales are drawn as often as sound ones.
+_SCALE_ENTRIES = [
+    *DEFAULT_SCALE_DOC.split(), "X=[0.4;0.9]", "E=[0.3;0.35]",
+    "A=[1e400;1]", "A=[nan;1]", "A=(0.1;0.2;0.3)", "A=", "=[0;1]", "A=[0.9;1]x=[0;0.1]",
+]
+_SCALE_TABLES = [GRADED_DOC, ",e1,e2\nc1,A,[0.2;0.4]\nc2,X,1\n", ",e1\nc1,E\n"]
+
+
+@st.composite
+def _fuzz_scale_documents(draw):
+    """Scale document bytes: mostly entries split by blanks and line ends, sometimes anything."""
+    anything = draw(st.sampled_from(
+        [None] * 9 + [st.text(max_size=60).map(str.encode), st.binary(max_size=60)]
+    ))
+    if anything is not None:
+        return draw(anything)
+    entries = draw(st.one_of(
+        st.just(DEFAULT_SCALE_DOC.split()), st.lists(st.sampled_from(_SCALE_ENTRIES), max_size=6),
+    ))
+    separators = st.sampled_from([" ", "\t", "\n", "\r\n", "\n\n"])
+    text = "".join(entry + draw(separators) for entry in entries)
+    return (draw(st.sampled_from([""] * 9 + ["\ufeff"])) + text).encode()
+
+
+@settings(
+    max_examples=200, deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
+)
+@given(scale_doc=_fuzz_scale_documents(), table_doc=st.sampled_from(_SCALE_TABLES),
+       epsilon=st.sampled_from(_VALID_EPSILONS))
+def test_cli_contract_on_arbitrary_scales(tmp_path, capsys, scale_doc, table_doc, epsilon):
+    """Any scale document under --method grey ends in exit code 0-3; 2 and 3 name a file."""
+    table, scale = tmp_path / "table.csv", tmp_path / "fuzz-scale.txt"
+    table.write_text(table_doc, encoding="utf-8")
+    scale.write_bytes(scale_doc)
+    code = run_cli([
+        "decide", "--input", str(table), "--method", "grey", "--scale", str(scale), *epsilon,
+    ])
+    err = capsys.readouterr().err
+    assert code in (0, 1, 2, 3)
+    if code in (2, 3):
+        assert str(scale) in err or str(table) in err

@@ -153,6 +153,17 @@ class TestGreyMethod:
         with pytest.raises(UnknownGradeError, match="'E'"):
             choice_values_grey(table, default_scale())
 
+    def test_unknown_grade_names_its_cell(self):
+        table = DecisionTable(
+            ("c0", "c1"), ("e0", "e1"),
+            ((BinCell(1), GradeCell("A")), (GradeCell("B"), GradeCell("E"))),
+        )
+        with pytest.raises(UnknownGradeError) as excinfo:
+            choice_values_grey(table, default_scale())
+        error = excinfo.value
+        assert (error.label, error.known, error.cell) == ("E", ("A", "B", "C", "D", "F"), ("c1", "e1"))
+        assert str(error) == "unknown grade 'E' in cell (c1, e1); the scale defines A, B, C, D, F"
+
 
 class TestNeutrosophicMethod:
     def test_players_example(self, triplet_table):

@@ -37,6 +37,12 @@ class TestLookup:
         assert excinfo.value.label == "E"
         assert "A, B, C, D, F" in str(excinfo.value)
 
+    def test_a_lookup_outside_a_table_names_no_cell(self):
+        with pytest.raises(UnknownGradeError) as excinfo:
+            default_scale()["E"]
+        assert excinfo.value.cell is None
+        assert str(excinfo.value) == "unknown grade 'E'; the scale defines A, B, C, D, F"
+
     def test_membership(self):
         scale = default_scale()
         assert "B" in scale

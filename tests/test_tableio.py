@@ -129,6 +129,26 @@ class TestParseTableErrors:
         error = self._error(",e1\nc1,(0.6;0.3)\n")
         assert str(error).startswith("bad.csv:2 field 2:")
 
+    @given(data=st.data())
+    def test_a_bad_token_anywhere_is_located_by_its_line_and_field(self, data):
+        rows = data.draw(st.integers(min_value=1, max_value=4), label="rows")
+        cols = data.draw(st.integers(min_value=1, max_value=4), label="cols")
+        bad_row = data.draw(st.integers(min_value=0, max_value=rows - 1), label="bad_row")
+        bad_col = data.draw(st.integers(min_value=0, max_value=cols - 1), label="bad_col")
+        bad = data.draw(st.sampled_from(["2", "[0.4;0.2]", "(0.5;0.5)", "(1e400;0;0)", "[0;-0.5]"]))
+        good = st.sampled_from(["0", "1", "A", "[0.2;0.4]", "(0.1;0.2;0.3)"])
+        newline = data.draw(st.sampled_from(["\n", "\r\n"]), label="newline")
+        lines = ["," + ",".join(f"e{j}" for j in range(cols))]
+        for i in range(rows):
+            lines += [""] * data.draw(st.integers(min_value=0, max_value=2), label="blank lines")
+            if i == bad_row:
+                bad_line = len(lines) + 1
+            cells = [bad if (i, j) == (bad_row, bad_col) else data.draw(good) for j in range(cols)]
+            lines.append(",".join([f"c{i}", *cells]))
+        error = self._error(newline.join(lines) + newline)
+        assert (error.line, error.field) == (bad_line, bad_col + 2)
+        assert str(error).startswith(f"bad.csv:{bad_line} field {bad_col + 2}: ")
+
 
 class TestWriteTable:
     def test_canonical_documents_round_trip_byte_stably(self):
