@@ -14,7 +14,7 @@ from typing import Any, Callable, Optional, Sequence
 
 from . import tableio
 from ._checks import checked_real
-from .engine import CellMismatchError, decide
+from .engine import CellMismatchError, Criterion, Method, decide
 from .grades import ScaleValidationError, UnknownGradeError
 
 EXIT_OK = 0
@@ -52,7 +52,7 @@ def build_parser() -> _Parser:
     )
     decide_cmd.add_argument("--input", required=True, help="table document to score")
     decide_cmd.add_argument(
-        "--method", required=True, choices=["binary", "grey", "neutrosophic"],
+        "--method", required=True, choices=[method.value for method in Method],
         help="aggregation method",
     )
     decide_cmd.add_argument(
@@ -60,7 +60,7 @@ def build_parser() -> _Parser:
         help="grade-scale document (grey method only; built-in scale when omitted)",
     )
     decide_cmd.add_argument(
-        "--criterion", default=None, choices=["optimistic", "conservative", "combined"],
+        "--criterion", default=None, choices=[criterion.value for criterion in Criterion],
         help="ranking criterion (neutrosophic method only; default: combined)",
     )
     decide_cmd.add_argument(

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from .grey import GreyNumber
 
@@ -56,29 +56,27 @@ class GradeScale:
             if not isinstance(interval, GreyNumber):
                 raise TypeError(f"grade {label!r} must map to a GreyNumber, got {type(interval).__name__}")
         object.__setattr__(self, "entries", entries)
+        # Not a field, so == and repr see only the entries; a repeated label finds its first entry.
+        object.__setattr__(self, "_index", dict(reversed(entries)))
 
     @property
     def labels(self) -> Tuple[str, ...]:
         return tuple(label for label, _ in self.entries)
 
-    def __iter__(self) -> Iterator[Tuple[str, GreyNumber]]:
-        return iter(self.entries)
-
     def __contains__(self, label: str) -> bool:
-        return any(label == known for known, _ in self.entries)
+        return isinstance(label, str) and label in self._index
 
     def __getitem__(self, label: str) -> GreyNumber:
-        for known, interval in self.entries:
-            if known == label:
-                return interval
-        raise UnknownGradeError(label, self.labels)
+        try:
+            return self._index[label]
+        except (KeyError, TypeError):  # TypeError: unhashable, so equal to no label
+            raise UnknownGradeError(label, self.labels) from None
 
     def validate(self) -> List[str]:
         """Return every violated rule, or an empty list when the scale is sound."""
         violations = []
-        labels = self.labels
         seen = set()
-        for label in labels:
+        for label in self.labels:
             if label in seen:
                 violations.append(f"duplicate grade label {label!r}")
             seen.add(label)
@@ -93,10 +91,12 @@ class GradeScale:
                     f"grades {label_a!r} and {label_b!r} are not in strictly "
                     f"descending order of lower endpoint"
                 )
-        for index, (label_a, a) in enumerate(self.entries):
-            for label_b, b in self.entries[index + 1:]:
-                if a.lower <= b.upper and b.lower <= a.upper:
-                    violations.append(f"grades {label_a!r} and {label_b!r} overlap")
+        # In descending order of lower endpoint, any overlap shows between neighbours.
+        by_lower = sorted(enumerate(self.entries), key=lambda item: item[1][1].lower, reverse=True)
+        for (i, (label_a, a)), (j, (label_b, b)) in zip(by_lower, by_lower[1:]):
+            if a.lower <= b.upper:
+                first, second = (label_a, label_b) if i < j else (label_b, label_a)
+                violations.append(f"grades {first!r} and {second!r} overlap")
         return violations
 
 

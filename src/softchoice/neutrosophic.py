@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterable, Tuple, Union
+from typing import Iterable, Tuple
 
 from ._checks import checked_real
 
@@ -36,13 +36,22 @@ class _Components:
         """The table token, ``(truth;indeterminacy;falsity)``; a boxed one re-parses exactly."""
         return f"({self.truth!r};{self.indeterminacy!r};{self.falsity!r})"
 
-    def __add__(self, other: "TripletLike") -> "TripletAccumulator":
+    def __add__(self, other: "_Components") -> "TripletAccumulator":
         if not isinstance(other, _Components):
             return NotImplemented
-        return add(self, other)
+        return TripletAccumulator(
+            self.truth + other.truth,
+            self.indeterminacy + other.indeterminacy,
+            self.falsity + other.falsity,
+        )
+
+    def scale(self, k: float) -> "TripletAccumulator":
+        """Scale every component by a positive real."""
+        k = checked_real(k, "scalar", low=0.0, strict=True)
+        return TripletAccumulator(k * self.truth, k * self.indeterminacy, k * self.falsity)
 
     def __mul__(self, k: float) -> "TripletAccumulator":
-        return scale(k, self)
+        return self.scale(k)
 
     __rmul__ = __mul__
 
@@ -60,31 +69,6 @@ class TripletAccumulator(_Components):
     def as_triplet(self) -> Triplet:
         """Reinterpret as a boxed triplet; fails if any component exceeds 1."""
         return Triplet(self.truth, self.indeterminacy, self.falsity)
-
-
-TripletLike = Union[Triplet, TripletAccumulator]
-
-
-def _components(value: TripletLike) -> Tuple[float, float, float]:
-    if not isinstance(value, _Components):
-        raise TypeError(
-            f"expected a Triplet or TripletAccumulator, got {type(value).__name__}"
-        )
-    return value.truth, value.indeterminacy, value.falsity
-
-
-def add(a: TripletLike, b: TripletLike) -> TripletAccumulator:
-    """Componentwise sum; the result is an unconstrained accumulator."""
-    at, ai, af = _components(a)
-    bt, bi, bf = _components(b)
-    return TripletAccumulator(at + bt, ai + bi, af + bf)
-
-
-def scale(k: float, a: TripletLike) -> TripletAccumulator:
-    """Componentwise product with a positive real."""
-    k = checked_real(k, "scalar", low=0.0, strict=True)
-    t, i, f = _components(a)
-    return TripletAccumulator(k * t, k * i, k * f)
 
 
 def mean(items: Iterable[Tuple[Triplet, int]]) -> Triplet:

@@ -16,8 +16,8 @@ Cell tokens:
 Numbers are nonnegative decimals with an optional exponent part; a leading
 minus sign is rejected, and tokens carry no internal whitespace. Scale
 documents are whitespace-separated entries of the form LABEL=[lower;upper],
-order-significant. Blank lines are ignored everywhere. Input accepts LF or
-CRLF line ends; output always uses LF.
+order-significant. Blank lines and one leading byte order mark are ignored
+everywhere. Input accepts LF or CRLF line ends; output always uses LF.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from .softset import BinaryTable
 _NUMBER_RE = re.compile(r"\d+(?:\.\d+)?(?:[eE][+-]?\d+)?\Z")
 _LABEL_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 _IDENT_RE = re.compile(r"[^\s,]+\Z")
-_SCALE_ENTRY_RE = re.compile(r"([A-Za-z][A-Za-z0-9_]*)=(\[.*\])\Z")
+_SCALE_ENTRY_RE = re.compile(r"([A-Za-z][A-Za-z0-9_]*)=(\[[^\]]*\])\Z")
 
 
 class ParseError(ValueError):
@@ -109,12 +109,19 @@ def parse_cell(token: str) -> Cell:
 
 
 def format_cell(cell: Cell) -> str:
-    """Canonical token for a cell; floats keep full round-trip precision."""
+    """Canonical token for a cell, floats at full precision; ValueError if it reads back otherwise."""
     if isinstance(cell, BinCell):
-        return str(cell.value)
-    if isinstance(cell, GradeCell):
-        return cell.label
-    return str(cell.interval if isinstance(cell, GreyCell) else cell.triplet)
+        token = str(cell.value)
+    elif isinstance(cell, GradeCell):
+        token = cell.label
+    else:
+        token = str(cell.interval if isinstance(cell, GreyCell) else cell.triplet)
+    try:
+        if _parse_cell(token) == cell:
+            return token
+    except ValueError:
+        pass
+    raise ValueError(f"cell {cell!r} has no token that reads back as it (wrote {token!r})")
 
 
 def _add_ident(text: str, kind: str, idents: dict, **where) -> None:
@@ -130,7 +137,8 @@ def _add_ident(text: str, kind: str, idents: dict, **where) -> None:
 
 
 def _content_lines(text: str):
-    for line_number, raw in enumerate(text.split("\n"), start=1):
+    """Numbered non-blank lines, after dropping one leading byte order mark."""
+    for line_number, raw in enumerate(text.removeprefix("\ufeff").split("\n"), start=1):
         line = raw.rstrip("\r")
         if line.strip():
             yield line_number, line
@@ -173,13 +181,16 @@ def parse_table(text: str, source: str = "<table>") -> DecisionTable:
 
 
 def _write_grid(col_ids, row_ids, cells, token) -> str:
+    for ident in (*col_ids, *row_ids):
+        if not _IDENT_RE.match(ident):
+            raise ValueError(f"identifier {ident!r} must be non-empty and contain no commas or whitespace")
     lines = ["," + ",".join(col_ids)]
     lines += [row_id + "," + ",".join(map(token, row)) for row_id, row in zip(row_ids, cells)]
     return "\n".join(lines) + "\n"
 
 
 def write_table(table: DecisionTable) -> str:
-    """Canonical table document; parse_table gives the table back exactly."""
+    """Canonical table document that parse_table gives back exactly; else ValueError."""
     return _write_grid(table.parameters, table.candidates, table.cells, format_cell)
 
 
@@ -214,8 +225,11 @@ def parse_scale(text: str, source: str = "<scale>") -> GradeScale:
 
 
 def write_scale(scale: GradeScale) -> str:
-    """Canonical scale document, one entry per line."""
-    lines = [f"{label}={interval}" for label, interval in scale.entries]
+    """Canonical scale document, one entry per line; ValueError for an entry that would not read back."""
+    for label, _ in scale.entries:
+        if not _LABEL_RE.match(label):
+            raise ValueError(f"grade label {label!r} is not a letter followed by letters, digits or _")
+    lines = [f"{label}={format_cell(GreyCell(interval))}" for label, interval in scale.entries]
     return "\n".join(lines) + "\n"
 
 

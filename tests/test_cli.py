@@ -109,6 +109,37 @@ class TestHappyPaths:
         assert run_cli(["--help"]) == 0
         assert "decide" in capsys.readouterr().out
 
+    def test_decide_help_is_byte_identical(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        assert run_cli(["decide", "--help"]) == 0
+        assert capsys.readouterr().out == _DECIDE_HELP
+
+
+_DECIDE_HELP = """\
+usage: softchoice decide [-h] --input INPUT --method
+                         {binary,grey,neutrosophic} [--scale PATH]
+                         [--criterion {optimistic,conservative,combined}]
+                         [--epsilon EPSILON] [--format {text,json}]
+                         [--output PATH]
+
+Score every candidate of the input table with the chosen method and report the
+winners.
+
+options:
+  -h, --help            show this help message and exit
+  --input INPUT         table document to score
+  --method {binary,grey,neutrosophic}
+                        aggregation method
+  --scale PATH          grade-scale document (grey method only; built-in scale
+                        when omitted)
+  --criterion {optimistic,conservative,combined}
+                        ranking criterion (neutrosophic method only; default:
+                        combined)
+  --epsilon EPSILON     tie tolerance for winner detection (default: 1e-9)
+  --format {text,json}  report format (default: text)
+  --output PATH         write the report here instead of standard output
+"""
+
 
 class TestUsageErrors:
     def test_missing_required_flag(self, capsys):
@@ -240,6 +271,17 @@ _ERROR_GOLDENS = {
         ",e1\nc1,A\n", "A=[0.9;1] B:[0;0.5]\n", ["--method", "grey"],
         2, "error: {scale}:1 field 2: malformed scale entry 'B:[0;0.5]' "
            "(expected LABEL=[lower;upper])\n",
+    ),
+    "entries-without-a-blank": (
+        ",e1\nc1,A\n", "A=[0.9;1]x=[0;0.1]\n", ["--method", "grey"],
+        2, "error: {scale}:1 field 1: malformed scale entry 'A=[0.9;1]x=[0;0.1]' "
+           "(expected LABEL=[lower;upper])\n",
+    ),
+    "unknown-method": (
+        ",e1\nc1,1\n", None, ["--method", "x"],
+        1, "usage: softchoice [-h] command ...\n"
+           "error: argument --method: invalid choice: 'x' "
+           "(choose from 'binary', 'grey', 'neutrosophic')\n",
     ),
     "bad-scale-interval": (
         ",e1\nc1,A\n", "A=[0.9;1]\n\nB=[0.5;0.2]\n", ["--method", "grey"],
@@ -395,6 +437,20 @@ def _fuzz_documents(draw):
     return (bom + newline.join(lines) + draw(st.sampled_from(["", newline]))).encode()
 
 
+def _assert_a_leading_bom_is_ignored(capsys, document, path, argv, code, captured):
+    """Both readers drop one leading BOM: without it, the run ends the same way.
+
+    Only a decoding error differs, by the BOM's three bytes in its position.
+    """
+    if not document.startswith("\ufeff".encode()):
+        return
+    path.write_bytes(document[3:])
+    assert run_cli(argv) == code
+    again = capsys.readouterr()
+    if "can't decode" not in captured.err:
+        assert (again.out, again.err) == (captured.out, captured.err)
+
+
 _METHODS = ("binary", "grey", "neutrosophic")
 _CRITERIA = ([], ["--criterion", "optimistic"], ["--criterion", "conservative"],
              ["--criterion", "combined"])
@@ -427,10 +483,11 @@ def test_cli_contract_on_arbitrary_tables(tmp_path, capsys, document, flags, jso
     if json_format:
         argv += ["--format", "json"]
     code = run_cli(argv)
-    err = capsys.readouterr().err
+    captured = capsys.readouterr()
     assert code in (0, 1, 2, 3)
     if code in (2, 3):
-        assert str(path) in err
+        assert str(path) in captured.err
+    _assert_a_leading_bom_is_ignored(capsys, document, path, argv, code, captured)
 
 
 # Scale entries: the built-in grades, an overlapping one and malformed or
@@ -470,10 +527,10 @@ def test_cli_contract_on_arbitrary_scales(tmp_path, capsys, scale_doc, table_doc
     table, scale = tmp_path / "table.csv", tmp_path / "fuzz-scale.txt"
     table.write_text(table_doc, encoding="utf-8")
     scale.write_bytes(scale_doc)
-    code = run_cli([
-        "decide", "--input", str(table), "--method", "grey", "--scale", str(scale), *epsilon,
-    ])
-    err = capsys.readouterr().err
+    argv = ["decide", "--input", str(table), "--method", "grey", "--scale", str(scale), *epsilon]
+    code = run_cli(argv)
+    captured = capsys.readouterr()
     assert code in (0, 1, 2, 3)
     if code in (2, 3):
-        assert str(scale) in err or str(table) in err
+        assert str(scale) in captured.err or str(table) in captured.err
+    _assert_a_leading_bom_is_ignored(capsys, scale_doc, scale, argv, code, captured)

@@ -1,7 +1,10 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from softchoice.grades import GradeScale, UnknownGradeError, default_scale
+from softchoice.grades import GradeScale, ScaleValidationError, UnknownGradeError, default_scale
 from softchoice.grey import GreyNumber
+from softchoice.tableio import parse_scale
 
 ALTERNATIVE_SCALE = GradeScale((
     ("A", GreyNumber(0.9, 1.0)),
@@ -52,6 +55,19 @@ class TestLookup:
         with pytest.raises(UnknownGradeError):
             default_scale()["a"]
 
+    def test_a_repeated_label_finds_its_first_entry(self):
+        scale = GradeScale((("A", GreyNumber(0.9, 1.0)), ("A", GreyNumber(0.1, 0.2))))
+        assert scale["A"] == GreyNumber(0.9, 1.0)
+
+    def test_a_non_label_is_not_a_member(self):
+        assert ["A"] not in default_scale()
+        with pytest.raises(UnknownGradeError):
+            default_scale()[["A"]]
+
+    def test_equality_and_repr_see_only_the_entries(self):
+        assert default_scale() == GradeScale(default_scale().entries)
+        assert repr(default_scale()).startswith("GradeScale(entries=((")
+
 
 class TestValidation:
     def test_overlapping_intervals_reported(self):
@@ -84,6 +100,40 @@ class TestValidation:
     def test_touching_closed_intervals_count_as_overlap(self):
         scale = GradeScale((("A", GreyNumber(0.5, 1.0)), ("B", GreyNumber(0.0, 0.5))))
         assert any("overlap" in violation for violation in scale.validate())
+
+    def test_overlaps_are_reported_between_neighbours_in_scale_order(self):
+        scale = GradeScale((
+            ("A", GreyNumber(0.8, 1.0)), ("B", GreyNumber(0.6, 0.8)), ("C", GreyNumber(0.5, 0.7)),
+        ))
+        assert scale.validate() == ["grades 'A' and 'B' overlap", "grades 'B' and 'C' overlap"]
+
+    def test_an_overlap_of_non_neighbours_is_reported_through_a_neighbour(self):
+        scale = GradeScale((
+            ("A", GreyNumber(0.5, 0.6)), ("B", GreyNumber(0.4, 0.45)), ("C", GreyNumber(0.0, 1.0)),
+        ))
+        assert scale.validate() == ["grades 'B' and 'C' overlap"]
+
+    @settings(max_examples=300)
+    @given(st.lists(
+        st.tuples(
+            st.sampled_from("ABCDE"),
+            st.tuples(*[st.integers(min_value=0, max_value=8).map(lambda n: n / 8)] * 2),
+        ),
+        min_size=1, max_size=8,
+    ))
+    def test_an_overlap_is_reported_exactly_when_some_pair_overlaps(self, drawn):
+        entries = [(label, GreyNumber(min(ends), max(ends))) for label, ends in drawn]
+        pairwise = any(
+            a.lower <= b.upper and b.lower <= a.upper
+            for i, (_, a) in enumerate(entries) for _, b in entries[i + 1:]
+        )
+        reported = GradeScale(tuple(entries)).validate()
+        assert any(violation.endswith(" overlap") for violation in reported) == pairwise
+
+    def test_a_large_invalid_scale_gets_a_linear_size_message(self):
+        with pytest.raises(ScaleValidationError) as excinfo:
+            parse_scale("Lk=[0;1] " * 2000)
+        assert len(str(excinfo.value)) < 1_000_000
 
     def test_validated_scales_map_distinct_labels_to_disjoint_intervals(self):
         for scale in (default_scale(), ALTERNATIVE_SCALE):

@@ -5,14 +5,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from softchoice.grey import GreyNumber
 from softchoice.neutrosophic import (
     InformationClass,
     Triplet,
     TripletAccumulator,
-    add,
     classify_information,
     mean,
-    scale,
 )
 
 degrees = st.floats(min_value=0.0, max_value=1.0, allow_nan=False, allow_infinity=False)
@@ -89,11 +88,11 @@ class TestAddition:
 
 class TestScaling:
     def test_quarter_of_a_row_sum(self):
-        quarter = scale(0.25, TripletAccumulator(1.6, 0.3, 2.1))
+        quarter = TripletAccumulator(1.6, 0.3, 2.1).scale(0.25)
         assert quarter == TripletAccumulator(0.4, 0.075, 0.525)
 
     def test_scalar_identity(self):
-        assert scale(1.0, Triplet(0.7, 0.1, 0.4)) == TripletAccumulator(0.7, 0.1, 0.4)
+        assert Triplet(0.7, 0.1, 0.4).scale(1.0) == TripletAccumulator(0.7, 0.1, 0.4)
 
     def test_halving_matches_exact_rational_arithmetic(self):
         half = 0.5 * TripletAccumulator(0.2, 0.4, 0.8)
@@ -103,7 +102,7 @@ class TestScaling:
     @pytest.mark.parametrize("k", [0.0, -2.0])
     def test_non_positive_scalar_rejected(self, k):
         with pytest.raises(ValueError, match="positive"):
-            scale(k, Triplet(0.5, 0.5, 0.5))
+            Triplet(0.5, 0.5, 0.5).scale(k)
 
 
 class TestMean:
@@ -189,15 +188,29 @@ class TestAlgebraicLaws:
     @settings(max_examples=300)
     @given(triplets, triplets)
     def test_addition_commutes(self, a, b):
-        assert add(a, b) == add(b, a)
+        assert a + b == b + a
 
     @settings(max_examples=300)
     @given(triplets, triplets, triplets)
     def test_addition_associates(self, a, b, c):
-        left = add(add(a, b), c)
-        right = add(a, add(b, c))
+        left = (a + b) + c
+        right = a + (b + c)
         for name in ("truth", "indeterminacy", "falsity"):
             assert getattr(left, name) == pytest.approx(getattr(right, name), abs=1e-12)
+
+    @settings(max_examples=300)
+    @given(
+        st.one_of(
+            triplets,
+            st.builds(TripletAccumulator, *[st.floats(min_value=0.0, max_value=1e6)] * 3),
+            st.tuples(*[st.floats(min_value=-1e6, max_value=1e6)] * 2).map(
+                lambda ends: GreyNumber(min(ends), max(ends))
+            ),
+        ),
+        st.floats(min_value=0.0, max_value=1e6, exclude_min=True),
+    )
+    def test_triplets_and_grey_numbers_scale_alike(self, value, k):
+        assert value.scale(k) == k * value == value * k
 
     @settings(max_examples=300)
     @given(st.lists(st.tuples(triplets, multiplicities), min_size=1, max_size=6))

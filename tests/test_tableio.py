@@ -1,5 +1,6 @@
 import json
 import random
+import re
 
 import pytest
 from hypothesis import given
@@ -13,7 +14,7 @@ from softchoice.engine import (
     NeutroCell,
     decide,
 )
-from softchoice.grades import ScaleValidationError, default_scale
+from softchoice.grades import GradeScale, ScaleValidationError, default_scale
 from softchoice.grey import GreyNumber
 from softchoice.neutrosophic import Triplet
 from softchoice.softset import BinaryTable
@@ -73,6 +74,17 @@ class TestParseTable:
 
     def test_surrounding_field_whitespace_tolerated(self):
         assert parse_table(" , e1 \nc1 , 1\n") == DecisionTable(("c1",), ("e1",), ((BinCell(1),),))
+
+    def test_a_bom_before_a_blank_line_is_dropped_with_it(self):
+        assert parse_table("\ufeff\n,e1\nc1,1\n") == DecisionTable(("c1",), ("e1",), ((BinCell(1),),))
+
+
+@pytest.mark.parametrize(
+    "doc, parse", [(doc, parse_table) for doc in (BINARY_DOC, GRADED_DOC, TRIPLET_DOC)]
+    + [(DEFAULT_SCALE_DOC, parse_scale), ("A=[0.9;1] B=[0;0.5]", parse_scale)],
+)
+def test_both_readers_ignore_one_leading_bom(doc, parse):
+    assert parse("\ufeff" + doc) == parse(doc)
 
 
 class TestParseTableErrors:
@@ -189,6 +201,16 @@ class TestWriteTable:
         assert str(interval) == format_cell(GreyCell(interval))
         assert str(triplet) == format_cell(NeutroCell(triplet))
 
+    @pytest.mark.parametrize("table, culprit", [
+        (DecisionTable(("c1",), ("e1",), ((GradeCell("0"),),)), "GradeCell(label='0')"),
+        (DecisionTable((" P1",), ("e1",), ((BinCell(1),),)), "' P1'"),
+        (DecisionTable(("a b",), ("e1",), ((BinCell(1),),)), "'a b'"),
+        (DecisionTable(("c1",), ("e1",), ((NeutroCell(Triplet(-0.0, 0, 1)),),)), "-0.0"),
+    ])
+    def test_a_table_that_would_read_back_differently_is_refused(self, table, culprit):
+        with pytest.raises(ValueError, match=re.escape(culprit)):
+            write_table(table)
+
     def test_binary_matrix_serializes_to_the_same_dialect(self):
         matrix = BinaryTable(("H1", "H2"), ("cheap", "nice"), ((1, 0), (1, 1)))
         doc = write_binary_table(matrix)
@@ -212,6 +234,20 @@ class TestScaleDocuments:
     def test_round_trip(self):
         scale = default_scale()
         assert parse_scale(write_scale(scale)) == scale
+
+    def test_a_label_the_reader_rejects_is_not_written(self):
+        scale = GradeScale((("b c", GreyNumber(0.5, 1.0)),))
+        assert scale.validate() == []
+        with pytest.raises(ValueError, match="'b c'"):
+            write_scale(scale)
+
+    def test_entries_without_a_blank_between_them_are_one_malformed_entry(self):
+        with pytest.raises(ParseError) as excinfo:
+            parse_scale("A=[0.9;1]x=[0;0.1]")
+        assert str(excinfo.value) == (
+            "<scale>:1 field 1: malformed scale entry 'A=[0.9;1]x=[0;0.1]' "
+            "(expected LABEL=[lower;upper])"
+        )
 
     def test_overlap_is_a_validation_error(self):
         with pytest.raises(ScaleValidationError, match="overlap"):
