@@ -63,17 +63,13 @@ class NeutroCell:
 Cell = Union[BinCell, GradeCell, GreyCell, NeutroCell]
 Score = Union[int, float, Triplet]
 
-_CELL_TYPES = (BinCell, GradeCell, GreyCell, NeutroCell)
-
-
-def _describe(cell: Cell) -> str:
-    if isinstance(cell, BinCell):
-        return f"binary {cell.value}"
-    if isinstance(cell, GradeCell):
-        return f"grade {cell.label!r}"
-    if isinstance(cell, GreyCell):
-        return f"interval {cell.interval}"
-    return f"triplet {cell.triplet}"
+# The classes a cell may have, and how a mismatch message describes each one.
+_DESCRIBE: Dict[type, Callable[[Any], str]] = {
+    BinCell: lambda cell: f"binary {cell.value}",
+    GradeCell: lambda cell: f"grade {cell.label!r}",
+    GreyCell: lambda cell: f"interval {cell.interval}",
+    NeutroCell: lambda cell: f"triplet {cell.triplet}",
+}
 
 
 class CellMismatchError(ValueError):
@@ -104,7 +100,7 @@ class Criterion(enum.Enum):
 
 
 def _check_cell(candidate: str, cell: Any) -> None:
-    if not isinstance(cell, _CELL_TYPES):
+    if type(cell) not in _DESCRIBE:
         raise TypeError(f"row {candidate!r} holds a non-cell value {cell!r}")
 
 
@@ -148,30 +144,29 @@ _ABSENT = (Triplet(0.0, 0.0, 1.0), 1)
 
 
 def _fold_rows(
-    table: DecisionTable, method: Method, contributions: Tuple[Tuple[type, Callable], ...],
+    table: DecisionTable, method: Method, contributions: Mapping[type, Callable],
     finish: Callable[[str, list], Score], hint: str,
 ) -> Dict[str, Score]:
     """Score each row of the table, the one procedure behind every method.
 
-    ``contributions`` pairs each cell type the method accepts with the
+    ``contributions`` maps each cell class the method accepts to the
     function that turns such a cell into a part; ``finish(candidate, parts)``
     turns a row's parts, in column order, into its score. A cell of any
-    other type is a mismatch, reported with ``hint``.
+    other class is a mismatch, reported with ``hint``.
     """
     scores: Dict[str, Score] = {}
     for candidate, row in zip(table.candidates, table.cells):
         parts: list = []
         for parameter, cell in zip(table.parameters, row):
-            for kind, contribute in contributions:
-                if isinstance(cell, kind):
-                    try:
-                        parts.append(contribute(cell))
-                    except UnknownGradeError as exc:  # the scale lookup cannot name the cell
-                        exc.cell = (candidate, parameter)
-                        raise
-                    break
-            else:
-                raise CellMismatchError(method.value, candidate, parameter, _describe(cell), hint)
+            contribute = contributions.get(type(cell))
+            if contribute is None:
+                found = _DESCRIBE[type(cell)](cell)
+                raise CellMismatchError(method.value, candidate, parameter, found, hint)
+            try:
+                parts.append(contribute(cell))
+            except UnknownGradeError as exc:  # the scale lookup cannot name the cell
+                exc.cell = (candidate, parameter)
+                raise
         scores[candidate] = finish(candidate, parts)
     return scores
 
@@ -179,7 +174,7 @@ def _fold_rows(
 def choice_values_binary(table: DecisionTable) -> Dict[str, int]:
     """Row sums of an all-binary table."""
     return _fold_rows(
-        table, Method.BINARY, ((BinCell, _VALUE),),
+        table, Method.BINARY, {BinCell: _VALUE},
         lambda candidate, parts: sum(parts), "only 0/1 cells are allowed",
     )
 
@@ -203,11 +198,11 @@ def choice_values_grey(table: DecisionTable, scale: GradeScale) -> Dict[str, flo
     midpoint is taken once at the end; a score beyond the float range is
     rejected.
     """
-    contributions = (
-        (BinCell, _VALUE),
-        (GradeCell, lambda cell: scale[cell.label]),
-        (GreyCell, attrgetter("interval")),
-    )
+    contributions = {
+        BinCell: _VALUE,
+        GradeCell: lambda cell: scale[cell.label],
+        GreyCell: attrgetter("interval"),
+    }
     return _fold_rows(
         table, Method.GREY, contributions, _grey_score,
         "only 0/1, grade and interval cells are allowed",
@@ -216,10 +211,10 @@ def choice_values_grey(table: DecisionTable, scale: GradeScale) -> Dict[str, flo
 
 def choice_values_neutrosophic(table: DecisionTable) -> Dict[str, Triplet]:
     """Mean triplet of each row, with 0 read as (0, 0, 1) and 1 as (1, 0, 0)."""
-    contributions = (
-        (BinCell, lambda cell: _PRESENT if cell.value else _ABSENT),
-        (NeutroCell, lambda cell: (cell.triplet, 1)),
-    )
+    contributions = {
+        BinCell: lambda cell: _PRESENT if cell.value else _ABSENT,
+        NeutroCell: lambda cell: (cell.triplet, 1),
+    }
     return _fold_rows(
         table, Method.NEUTROSOPHIC, contributions, lambda candidate, parts: mean(parts),
         "supply triplets for this cell (grades and intervals have no "

@@ -14,10 +14,10 @@ def _checked_ids(ids: Iterable[str], kind: str) -> tuple:
         if not isinstance(value, str) or not value:
             raise ValueError(f"{kind} identifiers must be non-empty strings, got {value!r}")
     if len(set(out)) != len(out):
-        seen, dupes = set(), []
+        seen, dupes = set(), {}  # dict: keys in order of second occurrence
         for value in out:
-            if value in seen and value not in dupes:
-                dupes.append(value)
+            if value in seen:
+                dupes[value] = None
             seen.add(value)
         raise ValueError(f"duplicate {kind} identifiers: {', '.join(dupes)}")
     return out
@@ -89,7 +89,7 @@ class SoftSet:
         parameters = _checked_ids(self.parameters, "parameter")
         members = set(universe)
         raw = dict(self.value_sets)
-        unknown = [key for key in raw if key not in parameters]
+        unknown = set(raw).difference(parameters)
         if unknown:
             raise ValueError(f"value sets given for unknown parameters: {', '.join(sorted(unknown))}")
         value_sets = {}

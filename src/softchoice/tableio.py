@@ -13,11 +13,12 @@ Cell tokens:
     [0.6;0.74]                interval cell
     (0.5;0.4;0.1)             triplet cell
 
-Numbers are nonnegative decimals with an optional exponent part; a leading
-minus sign is rejected, and tokens carry no internal whitespace. Scale
-documents are whitespace-separated entries of the form LABEL=[lower;upper],
-order-significant. Blank lines and one leading byte order mark are ignored
-everywhere. Input accepts LF or CRLF line ends; output always uses LF.
+Numbers are nonnegative decimals in ASCII digits with an optional exponent
+part; a leading minus sign is rejected, and tokens carry no internal
+whitespace. Scale documents are whitespace-separated entries of the form
+LABEL=[lower;upper], order-significant. Blank lines and one leading byte
+order mark are ignored everywhere. Input accepts LF or CRLF line ends;
+output always uses LF.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from .grey import GreyNumber
 from .neutrosophic import Triplet
 from .softset import BinaryTable
 
-_NUMBER_RE = re.compile(r"\d+(?:\.\d+)?(?:[eE][+-]?\d+)?\Z")
+_NUMBER_RE = re.compile(r"[0-9]+(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?\Z")
 _LABEL_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 _IDENT_RE = re.compile(r"[^\s,]+\Z")
 _SCALE_ENTRY_RE = re.compile(r"([A-Za-z][A-Za-z0-9_]*)=(\[[^\]]*\])\Z")
@@ -181,6 +182,8 @@ def parse_table(text: str, source: str = "<table>") -> DecisionTable:
 
 
 def _write_grid(col_ids, row_ids, cells, token) -> str:
+    if not col_ids or not row_ids:
+        raise ValueError("a table document needs at least one row and one column")
     for ident in (*col_ids, *row_ids):
         if not _IDENT_RE.match(ident):
             raise ValueError(f"identifier {ident!r} must be non-empty and contain no commas or whitespace")

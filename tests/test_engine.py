@@ -378,9 +378,24 @@ class TestTableConstruction:
         with pytest.raises(ValueError, match="expected 2"):
             DecisionTable(("c",), ("e1", "e2"), ((BinCell(0),),))
 
+    def test_duplicates_are_named_in_order_of_their_second_occurrence(self):
+        cells = tuple((BinCell(1),) for _ in range(5))
+        with pytest.raises(ValueError) as excinfo:
+            DecisionTable(("a", "b", "b", "a", "b"), ("e1",), cells)
+        assert str(excinfo.value) == "duplicate candidate identifiers: b, a"
+
     def test_non_cell_values_rejected(self):
         with pytest.raises(TypeError, match="non-cell"):
             DecisionTable(("c",), ("e1",), ((1,),))
+
+    def test_a_cell_subclass_is_not_a_cell(self):
+        # A table holds exactly the four cell classes, so it never holds a
+        # cell that write_table could not spell.
+        class OwnBin(BinCell):
+            pass
+
+        with pytest.raises(TypeError, match=r"row 'c' holds a non-cell value .*OwnBin\(value=1\)"):
+            DecisionTable(("c",), ("e1",), ((OwnBin(1),),))
 
     def test_cell_lookup_by_identifiers(self, graded_table):
         assert graded_table.cell("P4", "e1") == GradeCell("D")
@@ -496,6 +511,12 @@ class TestTieBoundaries:
         assert rank_combined(scores(math.nextafter(0.3125, 1.0)), eps) == ["lo"]
 
 
+_NEUTROSOPHIC_HINT = (
+    "supply triplets for this cell (grades and intervals have no "
+    "automatic triplet translation) or run the grey method"
+)
+
+
 class TestMismatchMessages:
     def test_interval_cell(self):
         table = DecisionTable(("c",), ("e",), ((GreyCell(GreyNumber(0.6, 0.74)),),))
@@ -513,4 +534,24 @@ class TestMismatchMessages:
         assert str(excinfo.value) == (
             "method 'grey' cannot use cell (c, e): found triplet (0.5;0.1;1.0); "
             "only 0/1, grade and interval cells are allowed"
+        )
+
+    @pytest.mark.parametrize("method, cell, found, hint", [
+        ("binary", GradeCell("C"), "grade 'C'", "only 0/1 cells are allowed"),
+        ("binary", GreyCell(GreyNumber(0.6, 0.74)), "interval [0.6;0.74]",
+         "only 0/1 cells are allowed"),
+        ("binary", NeutroCell(Triplet(0.5, 0.1, 1)), "triplet (0.5;0.1;1.0)",
+         "only 0/1 cells are allowed"),
+        ("grey", NeutroCell(Triplet(0.5, 0.1, 1)), "triplet (0.5;0.1;1.0)",
+         "only 0/1, grade and interval cells are allowed"),
+        ("neutrosophic", GradeCell("C"), "grade 'C'", _NEUTROSOPHIC_HINT),
+        ("neutrosophic", GreyCell(GreyNumber(0.6, 0.74)), "interval [0.6;0.74]",
+         _NEUTROSOPHIC_HINT),
+    ])
+    def test_every_rejected_cell_kind(self, method, cell, found, hint):
+        table = DecisionTable(("c",), ("e",), ((cell,),))
+        with pytest.raises(CellMismatchError) as excinfo:
+            decide(table, method)
+        assert str(excinfo.value) == (
+            f"method '{method}' cannot use cell (c, e): found {found}; {hint}"
         )

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -43,6 +44,20 @@ class TestConstruction:
             SoftSet(("a", "a"), ("e1",), {})
         with pytest.raises(ValueError, match="duplicate"):
             BinaryTable(("a",), ("e1", "e1"), ((0, 0),))
+
+    def test_duplicate_check_is_linear(self):
+        ids = tuple(f"x{i}" for i in range(20_000)) * 2
+        started = time.perf_counter()
+        with pytest.raises(ValueError, match="duplicate universe identifiers: x0, x1, "):
+            SoftSet(ids, ("e1",), {})
+        assert time.perf_counter() - started < 1.0
+
+    def test_value_set_key_check_is_linear(self):
+        parameters = tuple(f"e{j}" for j in range(20_000))
+        started = time.perf_counter()
+        soft = SoftSet(("a",), parameters, {parameter: {"a"} for parameter in parameters})
+        assert time.perf_counter() - started < 1.0
+        assert soft.tabulate().cells == ((1,) * 20_000,)
 
     def test_non_binary_cells_rejected(self):
         with pytest.raises(ValueError, match="non-binary"):

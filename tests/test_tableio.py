@@ -131,6 +131,18 @@ class TestParseTableErrors:
         error = self._error(",e1\nc1,2\n")
         assert "malformed cell token '2'" in error.message
 
+    @pytest.mark.parametrize("token, number", [
+        ("[٠.٥;١]", "٠.٥"),
+        ("(０.５;0;1)", "０.５"),
+        ("[0;1e٠]", "1e٠"),
+    ], ids=("arabic-indic", "fullwidth", "exponent"))
+    def test_numbers_use_ascii_digits(self, token, number):
+        with pytest.raises(ParseError) as excinfo:
+            parse_table(f",e1\nc1,{token}\n")
+        assert str(excinfo.value) == (
+            f"<table>:2 field 2: malformed number '{number}' (nonnegative decimal expected)"
+        )
+
     def test_empty_document(self):
         assert "header" in self._error("").message
 
@@ -219,6 +231,15 @@ class TestWriteTable:
         assert table.cells == ((BinCell(1), BinCell(0)), (BinCell(1), BinCell(1)))
 
 
+    @pytest.mark.parametrize("matrix", [
+        BinaryTable((), ("e1",), ()),
+        BinaryTable(("r1",), (), ((),)),
+    ], ids=("no-rows", "no-columns"))
+    def test_a_matrix_without_rows_or_columns_is_refused(self, matrix):
+        with pytest.raises(ValueError, match="needs at least one row and one column"):
+            write_binary_table(matrix)
+
+
 class TestScaleDocuments:
     def test_default_scale_document(self):
         assert parse_scale(DEFAULT_SCALE_DOC) == default_scale()
@@ -256,6 +277,13 @@ class TestScaleDocuments:
     def test_malformed_entry(self):
         with pytest.raises(ParseError, match="malformed scale entry"):
             parse_scale("A:[0.9;1]")
+
+    def test_an_entry_with_non_ascii_digits_is_malformed(self):
+        with pytest.raises(ParseError) as excinfo:
+            parse_scale("A=[٠.٨;١]")
+        assert str(excinfo.value) == (
+            "<scale>:1 field 1: malformed number '٠.٨' (nonnegative decimal expected)"
+        )
 
     def test_empty_document(self):
         with pytest.raises(ParseError, match="empty scale"):
