@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import math
+import sys
 from typing import Optional
+
+FLOAT_MAX = sys.float_info.max
 
 
 def checked_real(

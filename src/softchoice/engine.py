@@ -24,40 +24,60 @@ from .neutrosophic import Triplet, mean
 from .softset import _checked_grid
 
 
+# Cells and the values they hold write their __slots__ by hand: dataclass(slots=True)
+# rebuilds the class, and on Python 3.11 the rebuilt class's frozen __setattr__ raises
+# TypeError for a new name. __reduce__ pickles and copies through the constructor,
+# because the frozen __setattr__ refuses the default restore of slots.
 @dataclass(frozen=True)
 class BinCell:
+    __slots__ = ("value",)
     value: int
 
     def __post_init__(self) -> None:
         if isinstance(self.value, bool) or self.value not in (0, 1):
             raise ValueError(f"binary cells hold 0 or 1, got {self.value!r}")
 
+    def __reduce__(self):
+        return type(self), (self.value,)
+
 
 @dataclass(frozen=True)
 class GradeCell:
+    __slots__ = ("label",)
     label: str
 
     def __post_init__(self) -> None:
         if not isinstance(self.label, str) or not self.label:
             raise ValueError(f"grade cells hold a non-empty label, got {self.label!r}")
 
+    def __reduce__(self):
+        return type(self), (self.label,)
+
 
 @dataclass(frozen=True)
 class GreyCell:
+    __slots__ = ("interval",)
     interval: GreyNumber
 
     def __post_init__(self) -> None:
         if not isinstance(self.interval, GreyNumber):
             raise TypeError(f"grey cells hold a GreyNumber, got {type(self.interval).__name__}")
 
+    def __reduce__(self):
+        return type(self), (self.interval,)
+
 
 @dataclass(frozen=True)
 class NeutroCell:
+    __slots__ = ("triplet",)
     triplet: Triplet
 
     def __post_init__(self) -> None:
         if not isinstance(self.triplet, Triplet):
             raise TypeError(f"neutrosophic cells hold a Triplet, got {type(self.triplet).__name__}")
+
+    def __reduce__(self):
+        return type(self), (self.triplet,)
 
 
 Cell = Union[BinCell, GradeCell, GreyCell, NeutroCell]
@@ -122,6 +142,10 @@ class DecisionTable:
         object.__setattr__(self, "cells", cells)
 
     def cell(self, candidate: str, parameter: str) -> Cell:
+        if candidate not in self.candidates:
+            raise ValueError(f"unknown candidate {candidate!r}")
+        if parameter not in self.parameters:
+            raise ValueError(f"unknown parameter {parameter!r}")
         return self.cells[self.candidates.index(candidate)][self.parameters.index(parameter)]
 
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ._checks import checked_real
+from ._checks import FLOAT_MAX, checked_real
 
 
 @dataclass(frozen=True)
@@ -17,16 +17,23 @@ class GreyNumber:
     numbers.
     """
 
+    __slots__ = ("lower", "upper")
     lower: float
     upper: float
 
     def __post_init__(self) -> None:
-        lower = checked_real(self.lower, "lower endpoint")
-        upper = checked_real(self.upper, "upper endpoint")
+        lower, upper = self.lower, self.upper
+        if type(lower) is float and type(upper) is float and -FLOAT_MAX <= lower <= upper <= FLOAT_MAX:
+            return  # finite, ordered exact floats: what the checks below would keep as they are
+        lower = checked_real(lower, "lower endpoint")
+        upper = checked_real(upper, "upper endpoint")
         if lower > upper:
             raise ValueError(f"invalid interval: lower {lower!r} > upper {upper!r}")
         object.__setattr__(self, "lower", lower)
         object.__setattr__(self, "upper", upper)
+
+    def __reduce__(self):  # the frozen __setattr__ refuses the default restore of slots
+        return type(self), (self.lower, self.upper)
 
     def __str__(self) -> str:
         """The interval's table token, ``[lower;upper]``, at full round-trip precision."""

@@ -13,13 +13,14 @@ import enum
 from dataclasses import dataclass
 from typing import Iterable, Tuple
 
-from ._checks import checked_real
+from ._checks import FLOAT_MAX, checked_real
 
 
 @dataclass(frozen=True)
 class _Components:
     """Truth, indeterminacy and falsity components; nonnegative, bounded above by ``_high``."""
 
+    __slots__ = ("truth", "indeterminacy", "falsity")
     truth: float
     indeterminacy: float
     falsity: float
@@ -28,9 +29,18 @@ class _Components:
     _labels = ("truth component", "indeterminacy component", "falsity component")
 
     def __post_init__(self) -> None:
+        high = FLOAT_MAX if self._high is None else self._high
+        truth, indeterminacy, falsity = self.truth, self.indeterminacy, self.falsity
+        if type(truth) is type(indeterminacy) is type(falsity) is float and (
+            0.0 <= truth <= high and 0.0 <= indeterminacy <= high and 0.0 <= falsity <= high
+        ):
+            return  # exact floats in [0, high]: what the checks below would keep as they are
         for name, label in zip(("truth", "indeterminacy", "falsity"), self._labels):
             value = checked_real(getattr(self, name), label, low=0.0, high=self._high)
             object.__setattr__(self, name, value)
+
+    def __reduce__(self):  # the frozen __setattr__ refuses the default restore of slots
+        return type(self), (self.truth, self.indeterminacy, self.falsity)
 
     def __str__(self) -> str:
         """The table token, ``(truth;indeterminacy;falsity)``; a boxed one re-parses exactly."""
@@ -59,12 +69,15 @@ class _Components:
 class Triplet(_Components):
     """Degrees of truth, indeterminacy and falsity, each constrained to [0, 1]."""
 
+    __slots__ = ()
     _high = 1.0
     _labels = ("truth degree", "indeterminacy degree", "falsity degree")
 
 
 class TripletAccumulator(_Components):
     """Componentwise sums and scalings of triplets; nonnegative, no upper bound."""
+
+    __slots__ = ()
 
     def as_triplet(self) -> Triplet:
         """Reinterpret as a boxed triplet; fails if any component exceeds 1."""

@@ -42,7 +42,7 @@ from .grey import GreyNumber
 from .neutrosophic import Triplet
 from .softset import BinaryTable
 
-_NUMBER_RE = re.compile(r"[0-9]+(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?\Z")
+_NUMBER = r"([0-9]+(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?)"
 _LABEL_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 _IDENT_RE = re.compile(r"[^\s,]+\Z")
 _SCALE_ENTRY_RE = re.compile(r"([A-Za-z][A-Za-z0-9_]*)=(\[[^\]]*\])\Z")
@@ -71,31 +71,33 @@ class ParseError(ValueError):
         super().__init__(f"{location}: {message}")
 
 
-def _parse_number(text: str) -> float:
-    if not _NUMBER_RE.match(text):
-        raise ValueError(f"malformed number {text!r} (nonnegative decimal expected)")
-    return float(text)
-
-
-# Opening bracket -> (closing bracket, token kind, component count, cell type, value type).
+# Opening bracket -> (closing bracket, token kind, component count, cell type, value type,
+# the whole well-formed token with one group per number).
 _BRACKETED = {
-    "[": ("]", "interval", 2, GreyCell, GreyNumber),
-    "(": (")", "triplet", 3, NeutroCell, Triplet),
+    "[": ("]", "interval", 2, GreyCell, GreyNumber, re.compile(rf"\[{_NUMBER};{_NUMBER}\]\Z")),
+    "(": (")", "triplet", 3, NeutroCell, Triplet, re.compile(rf"\({_NUMBER};{_NUMBER};{_NUMBER}\)\Z")),
 }
+_BINARY = {"0": BinCell(0), "1": BinCell(1)}  # cells are frozen, so every 0 or 1 shares one
 
 
 def _parse_cell(token: str) -> Cell:
-    if token in ("0", "1"):
-        return BinCell(int(token))
+    cell = _BINARY.get(token)
+    if cell is not None:
+        return cell
     bracketed = _BRACKETED.get(token[:1])
     if bracketed is not None:
-        close, kind, count, cell_type, value_type = bracketed
+        close, kind, count, cell_type, value_type, pattern = bracketed
+        match = pattern.match(token)
+        if match:
+            return cell_type(value_type(*map(float, match.groups())))
         if not token.endswith(close):
             raise ValueError(f"malformed {kind} token {token!r}")
         parts = token[1:-1].split(";")
         if len(parts) != count:
             raise ValueError(f"{kind} token {token!r} needs {count} components, got {len(parts)}")
-        return cell_type(value_type(*map(_parse_number, parts)))
+        # Some part is a malformed number, or the pattern would have matched.
+        bad = next(part for part in parts if not re.fullmatch(_NUMBER, part))
+        raise ValueError(f"malformed number {bad!r} (nonnegative decimal expected)")
     if _LABEL_RE.match(token):
         return GradeCell(token)
     raise ValueError(f"malformed cell token {token!r}")

@@ -400,6 +400,14 @@ class TestTableConstruction:
     def test_cell_lookup_by_identifiers(self, graded_table):
         assert graded_table.cell("P4", "e1") == GradeCell("D")
 
+    def test_cell_lookup_names_an_unknown_candidate(self, graded_table):
+        with pytest.raises(ValueError, match=r"^unknown candidate 'zz'$"):
+            graded_table.cell("zz", "e1")
+
+    def test_cell_lookup_names_an_unknown_parameter(self, graded_table):
+        with pytest.raises(ValueError, match=r"^unknown parameter 'zz'$"):
+            graded_table.cell("P4", "zz")
+
 
 # Scores drawn often from a few dyadic values, so that exact ties and
 # boundary cases come up, and epsilons from subnormal to huge.

@@ -3,7 +3,7 @@ import random
 import re
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from softchoice.engine import (
@@ -172,6 +172,78 @@ class TestParseTableErrors:
         error = self._error(newline.join(lines) + newline)
         assert (error.line, error.field) == (bad_line, bad_col + 2)
         assert str(error).startswith(f"bad.csv:{bad_line} field {bad_col + 2}: ")
+
+
+# The bracketed-token reader as it was before whole-token patterns: it stays here
+# as the oracle that the fast path must agree with, cell for cell and message for message.
+_SPLIT_NUMBER_RE = re.compile(r"[0-9]+(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?\Z")
+_SPLIT_BRACKETED = {
+    "[": ("]", "interval", 2, GreyCell, GreyNumber),
+    "(": (")", "triplet", 3, NeutroCell, Triplet),
+}
+
+
+def _split_reader(token):
+    close, kind, count, cell_type, value_type = _SPLIT_BRACKETED[token[:1]]
+    if not token.endswith(close):
+        raise ValueError(f"malformed {kind} token {token!r}")
+    parts = token[1:-1].split(";")
+    if len(parts) != count:
+        raise ValueError(f"{kind} token {token!r} needs {count} components, got {len(parts)}")
+    numbers = []
+    for part in parts:
+        if not _SPLIT_NUMBER_RE.match(part):
+            raise ValueError(f"malformed number {part!r} (nonnegative decimal expected)")
+        numbers.append(float(part))
+    return cell_type(value_type(*numbers))
+
+
+_numbers = st.one_of(
+    st.floats(min_value=0.0, max_value=1.0).map(repr),
+    st.from_regex(r"[0-9]{1,3}(\.[0-9]{1,3})?([eE][+-]?[0-9]{1,3})?", fullmatch=True),
+)
+_components = st.one_of(  # well-formed numbers half the time
+    _numbers,
+    _numbers,
+    st.from_regex(r"[+-]?[0-9]{0,3}(\.[0-9]{0,3})?([eE][+-]?[0-9]{0,3})?", fullmatch=True),
+    st.sampled_from((
+        "", "0", "1", "0.", ".5", "0.5", "1e400", "1e-400", "nan", "inf", "-0", "+1",
+        "1 ", " 1", "0. 5", "٠.٥", "０", "1e٠", "1_0", "0x1", "(", "]",
+    )),
+)
+
+
+@st.composite
+def _near_bracketed(draw):
+    """A bracketed token, often well-formed; else with a wrong count, close or number."""
+    opening, closing, count = draw(st.sampled_from((("[", "]", 2), ("(", ")", 3))))
+    count = draw(st.one_of(st.just(count), st.integers(min_value=0, max_value=4)))
+    closing = draw(st.one_of(
+        st.just(closing), st.sampled_from(("", "]", ")", "]]", "))", ");", "]0", " ")),
+    ))
+    parts = draw(st.lists(_components, min_size=count, max_size=count))
+    return opening + ";".join(parts) + closing
+
+
+class TestBracketedTokens:
+    @settings(max_examples=500)
+    @given(_near_bracketed())
+    def test_same_cell_or_message_as_the_split_reader(self, token):
+        try:
+            expected = _split_reader(token)
+        except ValueError as exc:
+            with pytest.raises(ParseError) as excinfo:
+                parse_cell(token)
+            assert excinfo.value.message == str(exc)
+        else:
+            cell = parse_cell(token)
+            assert cell == expected and repr(cell) == repr(expected)
+
+    def test_every_binary_cell_of_a_value_is_one_object(self):
+        table = parse_table(",e1,e2,e3\nc1,0,1,0\nc2,1,(0;0;1),0\nc3,1,1,1\n")
+        for value in (0, 1):
+            found = [cell for row in table.cells for cell in row if cell == BinCell(value)]
+            assert len(found) >= 3 and all(cell is found[0] for cell in found)
 
 
 class TestWriteTable:

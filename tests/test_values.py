@@ -1,0 +1,107 @@
+"""The value and cell classes: guarded constructors and the frozen, slotted contract."""
+
+import copy
+import dataclasses
+import math
+import pickle
+import struct
+import sys
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from softchoice._checks import checked_real
+from softchoice.engine import BinCell, GradeCell, GreyCell, NeutroCell
+from softchoice.grey import GreyNumber
+from softchoice.neutrosophic import Triplet, TripletAccumulator, _Components
+
+MAX = sys.float_info.max
+
+
+class _OwnFloat(float):
+    pass
+
+
+# Every kind of input the constructors treat differently: exact floats at and
+# beyond each bound, ints (also beyond the float range), bools and a float subclass.
+_reals = st.one_of(
+    st.floats(),
+    st.sampled_from((
+        -0.0, 0.0, 5e-324, 1.0, MAX, -MAX, math.inf, -math.inf, math.nan,
+        math.nextafter(1.0, math.inf), math.nextafter(0.0, -math.inf),
+    )),
+    st.integers(min_value=-2, max_value=3),
+    st.sampled_from((10**400, -(10**400), 2**1024)),
+    st.booleans(),
+    st.floats().map(_OwnFloat),
+)
+
+
+def _oracle(cls, values):
+    """The fields each constructor kept before its early exit: checked_real on every value."""
+    if cls is GreyNumber:
+        lower = checked_real(values[0], "lower endpoint")
+        upper = checked_real(values[1], "upper endpoint")
+        if lower > upper:
+            raise ValueError(f"invalid interval: lower {lower!r} > upper {upper!r}")
+        return lower, upper
+    return tuple(
+        checked_real(value, label, low=0.0, high=cls._high)
+        for value, label in zip(values, cls._labels)
+    )
+
+
+def _outcome(build):
+    """(exact types and bits of the fields) or (exception type and message)."""
+    try:
+        fields = build()
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+    return tuple((type(value), struct.pack("<d", value)) for value in fields)
+
+
+@settings(max_examples=600, deadline=None)
+@given(
+    st.sampled_from((GreyNumber, Triplet, TripletAccumulator)),
+    st.lists(_reals, min_size=3, max_size=3),
+)
+def test_constructors_keep_or_reject_exactly_what_checked_real_does(cls, values):
+    values = values[:2] if cls is GreyNumber else values
+    built = _outcome(lambda: dataclasses.astuple(cls(*values)))
+    assert built == _outcome(lambda: _oracle(cls, values))
+
+
+_EXAMPLES = (
+    BinCell(1),
+    GradeCell("good_2"),
+    GreyCell(GreyNumber(0.25, 0.5)),
+    NeutroCell(Triplet(0.5, 0.25, 0.125)),
+    GreyNumber(-1.5, 2.0),
+    _Components(0.1, 2.0, 3.0),
+    Triplet(0.1, 0.2, 0.3),
+    TripletAccumulator(1.5, 0.0, 7.25),
+)
+
+
+@pytest.mark.parametrize("value", _EXAMPLES, ids=lambda value: type(value).__name__)
+class TestFrozenSlottedContract:
+    def test_pickle_copy_and_replace_round_trip(self, value):
+        copies = [pickle.loads(pickle.dumps(value, protocol))
+                  for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+        copies += [copy.copy(value), copy.deepcopy(value), dataclasses.replace(value)]
+        for other in copies:
+            assert type(other) is type(value) and other == value
+
+    def test_no_instance_dict(self, value):
+        assert not hasattr(value, "__dict__")
+
+    def test_fields_cannot_be_assigned(self, value):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(value, dataclasses.fields(value)[0].name, 0)
+
+    def test_new_names_are_refused_with_an_attribute_error(self, value):
+        with pytest.raises(AttributeError):
+            value.extra = 0
+        with pytest.raises(AttributeError):
+            object.__setattr__(value, "extra", 0)
