@@ -1,12 +1,28 @@
-"""The one check that a value is a finite real number within optional bounds."""
+"""The one finite-real check, and the one base of the frozen, hand-slotted value classes."""
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import sys
 from typing import Optional
 
 FLOAT_MAX = sys.float_info.max
+
+
+class Frozen:
+    """Base of the frozen dataclasses that write their ``__slots__`` by hand.
+
+    ``dataclass(slots=True)`` rebuilds the class, and on Python 3.11 the rebuilt
+    class's frozen ``__setattr__`` raises ``TypeError`` for a new name. The frozen
+    ``__setattr__`` also refuses the default restore of slots, so instances pickle
+    and copy through their constructor, which runs its checks again.
+    """
+
+    __slots__ = ()
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f.name) for f in dataclasses.fields(self))
 
 
 def checked_real(

@@ -17,19 +17,15 @@ from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple, Union
 
-from ._checks import checked_real
+from ._checks import Frozen, checked_real
 from .grades import GradeScale, ScaleValidationError, UnknownGradeError, default_scale
 from .grey import GreyNumber
 from .neutrosophic import Triplet, mean
 from .softset import _checked_grid
 
 
-# Cells and the values they hold write their __slots__ by hand: dataclass(slots=True)
-# rebuilds the class, and on Python 3.11 the rebuilt class's frozen __setattr__ raises
-# TypeError for a new name. __reduce__ pickles and copies through the constructor,
-# because the frozen __setattr__ refuses the default restore of slots.
 @dataclass(frozen=True)
-class BinCell:
+class BinCell(Frozen):
     __slots__ = ("value",)
     value: int
 
@@ -37,12 +33,9 @@ class BinCell:
         if isinstance(self.value, bool) or self.value not in (0, 1):
             raise ValueError(f"binary cells hold 0 or 1, got {self.value!r}")
 
-    def __reduce__(self):
-        return type(self), (self.value,)
-
 
 @dataclass(frozen=True)
-class GradeCell:
+class GradeCell(Frozen):
     __slots__ = ("label",)
     label: str
 
@@ -50,12 +43,9 @@ class GradeCell:
         if not isinstance(self.label, str) or not self.label:
             raise ValueError(f"grade cells hold a non-empty label, got {self.label!r}")
 
-    def __reduce__(self):
-        return type(self), (self.label,)
-
 
 @dataclass(frozen=True)
-class GreyCell:
+class GreyCell(Frozen):
     __slots__ = ("interval",)
     interval: GreyNumber
 
@@ -63,21 +53,15 @@ class GreyCell:
         if not isinstance(self.interval, GreyNumber):
             raise TypeError(f"grey cells hold a GreyNumber, got {type(self.interval).__name__}")
 
-    def __reduce__(self):
-        return type(self), (self.interval,)
-
 
 @dataclass(frozen=True)
-class NeutroCell:
+class NeutroCell(Frozen):
     __slots__ = ("triplet",)
     triplet: Triplet
 
     def __post_init__(self) -> None:
         if not isinstance(self.triplet, Triplet):
             raise TypeError(f"neutrosophic cells hold a Triplet, got {type(self.triplet).__name__}")
-
-    def __reduce__(self):
-        return type(self), (self.triplet,)
 
 
 Cell = Union[BinCell, GradeCell, GreyCell, NeutroCell]

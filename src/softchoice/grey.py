@@ -4,11 +4,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ._checks import FLOAT_MAX, checked_real
+from ._checks import FLOAT_MAX, Frozen, checked_real
 
 
 @dataclass(frozen=True)
-class GreyNumber:
+class GreyNumber(Frozen):
     """A real number known only to lie in the closed interval [lower, upper].
 
     Supports exactly what the decision methods need: interval addition,
@@ -31,9 +31,6 @@ class GreyNumber:
             raise ValueError(f"invalid interval: lower {lower!r} > upper {upper!r}")
         object.__setattr__(self, "lower", lower)
         object.__setattr__(self, "upper", upper)
-
-    def __reduce__(self):  # the frozen __setattr__ refuses the default restore of slots
-        return type(self), (self.lower, self.upper)
 
     def __str__(self) -> str:
         """The interval's table token, ``[lower;upper]``, at full round-trip precision."""

@@ -13,11 +13,11 @@ import enum
 from dataclasses import dataclass
 from typing import Iterable, Tuple
 
-from ._checks import FLOAT_MAX, checked_real
+from ._checks import FLOAT_MAX, Frozen, checked_real
 
 
 @dataclass(frozen=True)
-class _Components:
+class _Components(Frozen):
     """Truth, indeterminacy and falsity components; nonnegative, bounded above by ``_high``."""
 
     __slots__ = ("truth", "indeterminacy", "falsity")
@@ -38,9 +38,6 @@ class _Components:
         for name, label in zip(("truth", "indeterminacy", "falsity"), self._labels):
             value = checked_real(getattr(self, name), label, low=0.0, high=self._high)
             object.__setattr__(self, name, value)
-
-    def __reduce__(self):  # the frozen __setattr__ refuses the default restore of slots
-        return type(self), (self.truth, self.indeterminacy, self.falsity)
 
     def __str__(self) -> str:
         """The table token, ``(truth;indeterminacy;falsity)``; a boxed one re-parses exactly."""

@@ -43,9 +43,10 @@ from .neutrosophic import Triplet
 from .softset import BinaryTable
 
 _NUMBER = r"([0-9]+(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?)"
-_LABEL_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
+_LABEL = r"[A-Za-z][A-Za-z0-9_]*"  # grade labels: in cells, in scale entries and in write_scale
+_LABEL_RE = re.compile(_LABEL + r"\Z")
 _IDENT_RE = re.compile(r"[^\s,]+\Z")
-_SCALE_ENTRY_RE = re.compile(r"([A-Za-z][A-Za-z0-9_]*)=(\[[^\]]*\])\Z")
+_SCALE_ENTRY_RE = re.compile(rf"({_LABEL})=(\[[^\]]*\])\Z")
 
 
 class ParseError(ValueError):

@@ -382,20 +382,37 @@ class TestModuleEntryPoint:
         assert (child.returncode, child.stdout, child.stderr) == (0, expected, "")
 
 
-def test_importing_the_cli_loads_no_exact_arithmetic_modules():
-    """``fractions`` and ``decimal`` cost milliseconds of every run's start; none is needed."""
+def test_importing_the_cli_loads_no_exact_arithmetic_modules(tmp_path):
+    """``fractions`` and ``decimal`` cost milliseconds of every run's start; none is needed.
+
+    A run of each method then loads nothing outside the standard library and
+    softchoice itself, because the package has no runtime dependencies.
+    """
     probe = (
         "import sys\n"
         "bare = set(sys.modules)\n"
         "import softchoice.cli\n"
         "print(*(f'{name}:{name in bare}:{name in sys.modules}' for name in ('fractions', 'decimal')))\n"
+        "for method, path in zip(('binary', 'grey', 'neutrosophic'), sys.argv[1:]):\n"
+        "    argv = ['decide', '--input', path, '--method', method, '--output', path + '.out']\n"
+        "    print(softchoice.cli.run_cli(argv), end=' ')\n"
+        "loaded = {name.partition('.')[0] for name in set(sys.modules) - bare}\n"
+        "print('|', *sorted(loaded - set(sys.stdlib_module_names) - {'softchoice'}))\n"
     )
+    paths = []
+    for name, doc in (("binary", BINARY_DOC), ("graded", GRADED_DOC), ("triplet", TRIPLET_DOC)):
+        paths.append(tmp_path / f"{name}.csv")
+        paths[-1].write_text(doc, encoding="utf-8")
     env = dict(os.environ, PYTHONPATH=str(Path(softchoice.__file__).parent.parent))
     child = subprocess.run(
-        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=60,
+        [sys.executable, "-c", probe, *map(str, paths)],
+        capture_output=True, text=True, env=env, timeout=60,
     )
     assert child.returncode == 0, child.stderr
-    states = [field.split(":") for field in child.stdout.split()]
+    imports, runs = child.stdout.splitlines()
+    codes, _, foreign = runs.partition("|")
+    assert (codes.split(), foreign.split()) == (["0", "0", "0"], [])
+    states = [field.split(":") for field in imports.split()]
     watched = [(name, loaded) for name, bare, loaded in states if bare == "False"]
     if not watched:
         pytest.skip("the bare interpreter already loads fractions and decimal")

@@ -1,4 +1,5 @@
-"""The value and cell classes: guarded constructors and the frozen, slotted contract."""
+"""The value and cell classes: guarded constructors and the frozen, slotted contract,
+plus the rejection branches that the other test modules do not reach."""
 
 import copy
 import dataclasses
@@ -11,10 +12,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import softchoice
 from softchoice._checks import checked_real
-from softchoice.engine import BinCell, GradeCell, GreyCell, NeutroCell
+from softchoice.engine import BinCell, DecisionTable, GradeCell, GreyCell, NeutroCell, decide
+from softchoice.grades import GradeScale, ScaleValidationError
 from softchoice.grey import GreyNumber
-from softchoice.neutrosophic import Triplet, TripletAccumulator, _Components
+from softchoice.neutrosophic import Triplet, TripletAccumulator, _Components, classify_information
 
 MAX = sys.float_info.max
 
@@ -105,3 +108,43 @@ class TestFrozenSlottedContract:
             value.extra = 0
         with pytest.raises(AttributeError):
             object.__setattr__(value, "extra", 0)
+
+
+# Guards that no other test reaches, with the exception and message each raises.
+_UNORDERED_SCALE = GradeScale((("A", GreyNumber(0.5, 1.0)), ("B", GreyNumber(0.6, 0.9))))
+_REJECTED = [
+    pytest.param(lambda: BinCell(2), ValueError, "binary cells hold 0 or 1, got 2", id="bin-2"),
+    pytest.param(lambda: BinCell(True), ValueError, "binary cells hold 0 or 1, got True", id="bin-bool"),
+    pytest.param(lambda: GradeCell(""), ValueError, "grade cells hold a non-empty label, got ''",
+                 id="grade-empty"),
+    pytest.param(lambda: GradeCell(5), ValueError, "grade cells hold a non-empty label, got 5",
+                 id="grade-int"),
+    pytest.param(lambda: GreyCell((0.1, 0.2)), TypeError, "grey cells hold a GreyNumber, got tuple",
+                 id="grey-tuple"),
+    pytest.param(lambda: NeutroCell((1, 0, 0)), TypeError,
+                 "neutrosophic cells hold a Triplet, got tuple", id="neutro-tuple"),
+    pytest.param(
+        lambda: decide(DecisionTable(("c",), ("e1",), ((BinCell(1),),)), "grey", scale=_UNORDERED_SCALE),
+        ScaleValidationError,
+        "invalid grade scale: grades 'A' and 'B' are not in strictly descending order of lower "
+        "endpoint; grades 'A' and 'B' overlap",
+        id="decide-invalid-scale",
+    ),
+    pytest.param(lambda: GradeScale((("A",),)), ValueError,
+                 "scale entries are (label, interval) pairs, got ('A',)", id="scale-entry-shape"),
+    pytest.param(lambda: DecisionTable((1,), ("e1",), ((BinCell(1),),)), ValueError,
+                 "candidate identifiers must be non-empty strings, got 1", id="table-id"),
+    pytest.param(lambda: classify_information((1, 0, 0)), TypeError,
+                 "expected a Triplet, got tuple", id="classify-tuple"),
+    pytest.param(lambda: Triplet(1, 0, 0) + 1, TypeError,
+                 "unsupported operand type(s) for +: 'Triplet' and 'int'", id="triplet-plus-int"),
+    pytest.param(lambda: softchoice.nope, AttributeError,
+                 "module 'softchoice' has no attribute 'nope'", id="package-attribute"),
+]
+
+
+@pytest.mark.parametrize("build, error, message", _REJECTED)
+def test_rejected_input_raises_its_message(build, error, message):
+    with pytest.raises(error) as caught:
+        build()
+    assert type(caught.value) is error and str(caught.value) == message
