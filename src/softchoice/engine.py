@@ -13,8 +13,10 @@ so callers must supply triplets themselves or run the grey method.
 from __future__ import annotations
 
 import enum
+import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple, Union
 
 from ._checks import Frozen, checked_real
@@ -289,6 +291,9 @@ _FALLBACK_NOTE = (
 )
 
 
+_NAMED_CONTENDERS = 5
+
+
 def _short(value: float) -> str:
     return format(value, ".12g")
 
@@ -299,21 +304,48 @@ def _risk_notes(
     contenders: List[str],
     epsilon: float,
 ) -> Dict[str, str]:
+    """Name each winner's nearest contenders in indeterminacy (ties to table order).
+
+    One sort serves every winner: the walk outwards from the winner's value
+    slices at most ``_NAMED_CONTENDERS + 1`` entries from each group of
+    equal values, so no group is scanned whole.
+    """
+    ranked = sorted((scores[other].indeterminacy, index, other) for index, other in enumerate(contenders))
+    values = [entry[0] for entry in ranked]
+    members = set(contenders)
     notes: Dict[str, str] = {}
-    shown = {other: _short(scores[other].indeterminacy) for other in contenders}
     for winner in winners:
         doubt = scores[winner].indeterminacy
-        clauses = []
-        for other in contenders:
-            if other == winner:
-                continue
-            other_doubt = scores[other].indeterminacy
-            if doubt > other_doubt + epsilon:
-                clauses.append(f"exceeds {other}'s {shown[other]}")
-            elif doubt < other_doubt - epsilon:
-                clauses.append(f"is below {other}'s {shown[other]}")
+        picked: list = []
+        low = high = bisect_left(values, doubt)
+        bound = math.inf
+        while low or high < len(values):
+            left = doubt - values[low - 1] if low else math.inf
+            right = values[high] - doubt if high < len(values) else math.inf
+            nearest = min(left, right)
+            if nearest > bound:
+                break
+            if left <= right:
+                start = bisect_left(values, values[low - 1], 0, low)
+                group, low = ranked[start:min(low, start + _NAMED_CONTENDERS + 1)], start
             else:
-                clauses.append(f"matches {other}'s {shown[other]}")
+                end = bisect_right(values, values[high], high)
+                group, high = ranked[high:min(end, high + _NAMED_CONTENDERS + 1)], end
+            picked += [entry for entry in group if entry[2] != winner]
+            if len(picked) >= _NAMED_CONTENDERS:
+                bound = nearest
+        picked.sort(key=lambda entry: (abs(entry[0] - doubt), entry[1]))
+        clauses = []
+        for other_doubt, _, other in sorted(picked[:_NAMED_CONTENDERS], key=itemgetter(1)):
+            if doubt > other_doubt + epsilon:
+                clauses.append(f"exceeds {other}'s {_short(other_doubt)}")
+            elif doubt < other_doubt - epsilon:
+                clauses.append(f"is below {other}'s {_short(other_doubt)}")
+            else:
+                clauses.append(f"matches {other}'s {_short(other_doubt)}")
+        more = len(members) - (winner in members) - len(clauses)
+        if more:
+            clauses.append(f"and {more} more")
         note = f"indeterminacy {_short(doubt)}"
         if clauses:
             note += " " + "; ".join(clauses)

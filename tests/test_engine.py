@@ -14,6 +14,7 @@ from softchoice.engine import (
     GreyCell,
     Method,
     NeutroCell,
+    _risk_notes,
     choice_values_binary,
     choice_values_grey,
     choice_values_neutrosophic,
@@ -25,6 +26,7 @@ from softchoice.engine import (
 from softchoice.grades import UnknownGradeError, default_scale
 from softchoice.grey import GreyNumber
 from softchoice.neutrosophic import Triplet
+from softchoice.tableio import render_report_json, render_report_text
 
 from conftest import BINARY_SCORES, GREY_SCORES, TRIPLET_SCORES
 
@@ -461,6 +463,132 @@ class TestRankingOracles:
     @given(_score_maps, _epsilons)
     def test_combined(self, scores, eps):
         assert rank_combined(scores, eps) == _oracle_combined(scores, eps)
+
+
+def _one_column_table(rows):
+    """A neutrosophic table of one parameter; ``rows`` maps candidate to triplet."""
+    return DecisionTable(
+        tuple(rows), ("e1",), tuple((NeutroCell(Triplet(*row)),) for row in rows.values())
+    )
+
+
+def _oracle_note(scores, winner, contenders, epsilon):
+    """The risk note spelled out from a sort of all the other contenders."""
+    order = list(scores).index
+    doubt = scores[winner].indeterminacy
+    others = [name for name in contenders if name != winner]
+    named = sorted(others, key=lambda name: (abs(scores[name].indeterminacy - doubt), order(name)))
+    clauses = []
+    for name in sorted(named[:5], key=order):
+        other = scores[name].indeterminacy
+        if doubt > other + epsilon:
+            verb = "exceeds"
+        elif doubt < other - epsilon:
+            verb = "is below"
+        else:
+            verb = "matches"
+        clauses.append(f"{verb} {name}'s {format(other, '.12g')}")
+    if len(others) > 5:
+        clauses.append(f"and {len(others) - 5} more")
+    note = f"indeterminacy {format(doubt, '.12g')}"
+    return note + " " + "; ".join(clauses) if clauses else note
+
+
+# Indeterminacies drawn from a few levels per case, so that long runs of
+# equal values and equal distances on both sides come up; the tiny levels
+# lie closer together than a float step at 1, so their distances from 1
+# round to the same float.
+_risk_levels = st.lists(
+    st.one_of(
+        st.sampled_from((0.0, 5e-324, 1e-17, 2e-17, 0.1, 0.2, 0.25, 0.3, 0.5, 0.75, 1.0)),
+        st.floats(min_value=0.0, max_value=1.0),
+    ),
+    min_size=1, max_size=4,
+)
+
+
+@st.composite
+def _risk_cases(draw):
+    names = [f"c{i}" for i in range(draw(st.integers(min_value=1, max_value=16)))]
+    levels = draw(_risk_levels)
+    scores = {name: Triplet(0.5, draw(st.sampled_from(levels)), 0.5) for name in names}
+    contenders = [name for name in names if draw(st.booleans())]
+    winners = draw(st.lists(st.sampled_from(names), min_size=1, unique=True))
+    return scores, winners, contenders, draw(_epsilons)
+
+
+class TestRiskNotes:
+    @settings(max_examples=500, deadline=None)
+    @given(_risk_cases())
+    def test_notes_name_the_nearest_contenders(self, case):
+        scores, winners, contenders, epsilon = case
+        notes = _risk_notes(scores, winners, contenders, epsilon)
+        assert list(notes) == winners
+        for winner, note in notes.items():
+            assert note == _oracle_note(scores, winner, contenders, epsilon)
+            assert f" {winner}'s " not in note
+            unnamed = len(set(contenders) - {winner}) - 5
+            if unnamed > 0:
+                assert note.endswith(f"; and {unnamed} more")
+            else:
+                assert " more" not in note
+
+    def test_six_contenders_are_all_named(self):
+        table = _one_column_table({
+            "a": (0.5, 0.3, 0.1), "b": (0.5, 0.1, 0.1), "c": (0.5, 0.3, 0.1),
+            "d": (0.5, 0.2, 0.1), "e": (0.5, 0.4, 0.1), "f": (0.5, 0.05, 0.1),
+        })
+        report = decide(table, "neutrosophic", criterion="optimistic")
+        assert report.winners == ("a", "b", "c", "d", "e", "f")
+        assert report.risk_notes["a"] == (
+            "indeterminacy 0.3 exceeds b's 0.1; matches c's 0.3; exceeds d's 0.2; "
+            "is below e's 0.4; exceeds f's 0.05"
+        )
+
+    def test_a_seventh_contender_is_counted(self):
+        table = _one_column_table({
+            "a": (0.5, 0.3, 0.1), "b": (0.5, 0.1, 0.1), "c": (0.5, 0.3, 0.1),
+            "d": (0.5, 0.2, 0.1), "e": (0.5, 0.4, 0.1), "f": (0.5, 0.05, 0.1),
+            "g": (0.5, 0.9, 0.1),
+        })
+        notes = decide(table, "neutrosophic", criterion="optimistic").risk_notes
+        assert notes["a"] == (
+            "indeterminacy 0.3 exceeds b's 0.1; matches c's 0.3; exceeds d's 0.2; "
+            "is below e's 0.4; exceeds f's 0.05; and 1 more"
+        )
+        assert notes["g"] == (
+            "indeterminacy 0.9 exceeds a's 0.3; exceeds b's 0.1; exceeds c's 0.3; "
+            "exceeds d's 0.2; exceeds e's 0.4; and 1 more"
+        )
+
+    def test_equal_distances_on_both_sides_go_to_table_order(self):
+        table = _one_column_table({
+            "a": (0.5, 0.75, 0.1), "b": (0.5, 0.75, 0.1), "c": (0.5, 0.75, 0.1),
+            "d": (0.5, 0.5, 0.1), "e": (0.5, 0.25, 0.1), "f": (0.5, 0.25, 0.1),
+            "g": (0.5, 0.25, 0.1),
+        })
+        notes = decide(table, "neutrosophic", criterion="optimistic").risk_notes
+        assert notes["d"] == (
+            "indeterminacy 0.5 is below a's 0.75; is below b's 0.75; is below c's 0.75; "
+            "exceeds e's 0.25; exceeds f's 0.25; and 1 more"
+        )
+
+    def test_a_fallback_winner_outside_the_contenders(self):
+        table = _one_column_table({"A": (0.9, 0.0, 0.8), "B": (0.2, 0.3, 0.1), "C": (0.8, 0.1, 0.2)})
+        report = decide(table, "neutrosophic", criterion="combined")
+        assert report.winners == ("C",)
+        assert report.risk_notes == {"C": "indeterminacy 0.1 exceeds A's 0; is below B's 0.3"}
+
+    @pytest.mark.parametrize("render", [render_report_text, render_report_json])
+    def test_report_size_is_linear_in_tied_rows(self, render):
+        def bytes_per_row(rows):
+            table = _one_column_table({f"c{i:04d}": (0.25, 0.5, 0.125) for i in range(rows)})
+            report = decide(table, "neutrosophic")
+            assert len(report.winners) == rows
+            return len(render(report).encode()) / rows
+
+        small, large = bytes_per_row(500), bytes_per_row(2000)
+        assert abs(large - small) <= 0.1 * small
 
 
 class TestTieBoundaries:
