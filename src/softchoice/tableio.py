@@ -79,10 +79,19 @@ _BRACKETED = {
     "(": (")", "triplet", 3, NeutroCell, Triplet, re.compile(rf"\({_NUMBER};{_NUMBER};{_NUMBER}\)\Z")),
 }
 _BINARY = {"0": BinCell(0), "1": BinCell(1)}  # cells are frozen, so every 0 or 1 shares one
+_SHARED_NUMBERS = 4096  # distinct number tokens one parse_table call shares a float for
 
 
-def _parse_cell(token: str) -> Cell:
-    cell = _BINARY.get(token)
+class _Numbers(dict):
+    """Number token -> float, each float built on the first lookup of its token."""
+
+    def __missing__(self, token: str) -> float:
+        return self.setdefault(token, float(token))
+
+
+def _parse_cell(token: str, shared: dict, number=float) -> Cell:
+    """The cell of ``token``, from ``shared`` if there; ``shared`` keeps each new grade cell."""
+    cell = shared.get(token)
     if cell is not None:
         return cell
     bracketed = _BRACKETED.get(token[:1])
@@ -90,7 +99,7 @@ def _parse_cell(token: str) -> Cell:
         close, kind, count, cell_type, value_type, pattern = bracketed
         match = pattern.match(token)
         if match:
-            return cell_type(value_type(*map(float, match.groups())))
+            return cell_type(value_type(*map(number, match.groups())))
         if not token.endswith(close):
             raise ValueError(f"malformed {kind} token {token!r}")
         parts = token[1:-1].split(";")
@@ -100,14 +109,15 @@ def _parse_cell(token: str) -> Cell:
         bad = next(part for part in parts if not re.fullmatch(_NUMBER, part))
         raise ValueError(f"malformed number {bad!r} (nonnegative decimal expected)")
     if _LABEL_RE.match(token):
-        return GradeCell(token)
+        cell = shared[token] = GradeCell(token)
+        return cell
     raise ValueError(f"malformed cell token {token!r}")
 
 
 def parse_cell(token: str) -> Cell:
     """Parse a single cell token."""
     try:
-        return _parse_cell(token)
+        return _parse_cell(token, dict(_BINARY))
     except ValueError as exc:
         raise ParseError(str(exc)) from None
 
@@ -121,7 +131,7 @@ def format_cell(cell: Cell) -> str:
     else:
         token = str(cell.interval if isinstance(cell, GreyCell) else cell.triplet)
     try:
-        if _parse_cell(token) == cell:
+        if _parse_cell(token, dict(_BINARY)) == cell:
             return token
     except ValueError:
         pass
@@ -141,15 +151,22 @@ def _add_ident(text: str, kind: str, idents: dict, **where) -> None:
 
 
 def _content_lines(text: str):
-    """Numbered non-blank lines, after dropping one leading byte order mark."""
-    for line_number, raw in enumerate(text.removeprefix("\ufeff").split("\n"), start=1):
-        line = raw.rstrip("\r")
+    """Numbered non-blank lines, one leading byte order mark dropped, sliced out one at a time."""
+    start = 1 if text.startswith("\ufeff") else 0
+    for line_number in range(1, text.count("\n", start) + 2):
+        end = text.find("\n", start)
+        line = text[start:end if end >= 0 else None].rstrip("\r")
         if line.strip():
             yield line_number, line
+        start = end + 1
 
 
 def parse_table(text: str, source: str = "<table>") -> DecisionTable:
-    """Parse a table document into a decision table, one line at a time."""
+    """Parse a table document into a decision table, one line at a time.
+
+    Within one call, equal grade labels share one cell and equal number tokens one float,
+    up to _SHARED_NUMBERS distinct numbers; nothing is kept from one call to the next.
+    """
     lines = _content_lines(text)
     header_line, line = next(lines, (None, None))
     if line is None:
@@ -166,16 +183,19 @@ def parse_table(text: str, source: str = "<table>") -> DecisionTable:
     width = len(header)
     candidates: dict = {}
     cell_rows = []
+    shared = dict(_BINARY)  # token -> cell, for 0, 1 and each grade label read so far
+    numbers = _Numbers()  # until it holds _SHARED_NUMBERS tokens; later rows call float itself
     for line_number, line in lines:
         where = {"source": source, "line": line_number}
         fields = [part.strip() for part in line.split(",")]
         if len(fields) != width:
             raise ParseError(f"expected {width} fields, got {len(fields)}", **where)
         _add_ident(fields[0], "candidate", candidates, field=1, **where)
+        number = numbers.__getitem__ if len(numbers) < _SHARED_NUMBERS else float
         cells = []
         try:
             for token in fields[1:]:
-                cells.append(_parse_cell(token))
+                cells.append(_parse_cell(token, shared, number))
         except ValueError as exc:  # the failing token is the one after the cells read so far
             raise ParseError(str(exc), field=len(cells) + 2, **where) from None
         cell_rows.append(tuple(cells))
@@ -218,7 +238,7 @@ def parse_scale(text: str, source: str = "<scale>") -> GradeScale:
                 )
             label, interval_token = match.groups()
             try:
-                entries.append((label, _parse_cell(interval_token).interval))
+                entries.append((label, _parse_cell(interval_token, dict(_BINARY)).interval))
             except ValueError as exc:
                 raise ParseError(str(exc), source=source, line=line_number, field=index) from None
     if not entries:

@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import pickle
 import random
 import re
 
@@ -19,6 +21,7 @@ from softchoice.grey import GreyNumber
 from softchoice.neutrosophic import Triplet
 from softchoice.softset import BinaryTable
 from softchoice.tableio import (
+    _SHARED_NUMBERS,
     ParseError,
     format_cell,
     parse_cell,
@@ -162,14 +165,19 @@ class TestParseTableErrors:
         bad = data.draw(st.sampled_from(["2", "[0.4;0.2]", "(0.5;0.5)", "(1e400;0;0)", "[0;-0.5]"]))
         good = st.sampled_from(["0", "1", "A", "[0.2;0.4]", "(0.1;0.2;0.3)"])
         newline = data.draw(st.sampled_from(["\n", "\r\n"]), label="newline")
-        lines = ["," + ",".join(f"e{j}" for j in range(cols))]
+        blank = st.sampled_from(["", " ", "\t", " \t "])  # blank or whitespace-only
+        blank_lines = st.lists(blank, max_size=2)
+        lines = data.draw(blank_lines, label="leading blank lines")
+        lines.append("," + ",".join(f"e{j}" for j in range(cols)))
         for i in range(rows):
-            lines += [""] * data.draw(st.integers(min_value=0, max_value=2), label="blank lines")
+            lines += data.draw(blank_lines, label="blank lines")
             if i == bad_row:
                 bad_line = len(lines) + 1
             cells = [bad if (i, j) == (bad_row, bad_col) else data.draw(good) for j in range(cols)]
             lines.append(",".join([f"c{i}", *cells]))
-        error = self._error(newline.join(lines) + newline)
+        bom = data.draw(st.sampled_from(["", "\ufeff"]), label="bom")
+        end = data.draw(st.sampled_from([newline, ""]), label="final line end")
+        error = self._error(bom + newline.join(lines) + end)
         assert (error.line, error.field) == (bad_line, bad_col + 2)
         assert str(error).startswith(f"bad.csv:{bad_line} field {bad_col + 2}: ")
 
@@ -244,6 +252,57 @@ class TestBracketedTokens:
         for value in (0, 1):
             found = [cell for row in table.cells for cell in row if cell == BinCell(value)]
             assert len(found) >= 3 and all(cell is found[0] for cell in found)
+
+
+class TestSharingWithinAParse:
+    DOC = ",e1,e2,e3\nc1,A,[0.25;0.5],(0.25;0.5;0.125)\nc2,A,B,[0.25;0.5]\nc3,B,(0.5;0.125;0.25),A\n"
+
+    @staticmethod
+    def _grades(table):
+        return [cell for row in table.cells for cell in row if isinstance(cell, GradeCell)]
+
+    @staticmethod
+    def _floats(table):
+        values = [cell.interval if isinstance(cell, GreyCell) else cell.triplet
+                  for row in table.cells for cell in row if isinstance(cell, (GreyCell, NeutroCell))]
+        return [getattr(value, field.name) for value in values for field in dataclasses.fields(value)]
+
+    def test_equal_labels_share_one_cell_and_equal_numbers_one_float(self):
+        table = parse_table(self.DOC)
+        for label in "AB":
+            found = [cell for cell in self._grades(table) if cell.label == label]
+            assert len(found) >= 2 and all(cell is found[0] for cell in found)
+        for value in (0.25, 0.5, 0.125):
+            found = [number for number in self._floats(table) if number == value]
+            assert len(found) >= 2 and all(number is found[0] for number in found)
+
+    def test_nothing_is_shared_between_parses(self):
+        first, second = parse_table(self.DOC), parse_table(self.DOC)
+        assert first == second
+        for objects in (self._grades, self._floats):
+            assert not set(map(id, objects(first))) & set(map(id, objects(second)))
+
+    def test_a_pickle_holds_each_shared_cell_once_and_round_trips(self):
+        doc = ",e1,e2\n" + "".join(f"c{i},A,good_grade\n" for i in range(50))
+        table = parse_table(doc)
+        unshared = DecisionTable(table.candidates, table.parameters, tuple(
+            tuple(GradeCell(cell.label) for cell in row) for row in table.cells
+        ))
+        data = pickle.dumps(table)
+        assert pickle.loads(data) == table
+        assert len(data) < len(pickle.dumps(unshared))
+
+    def test_more_distinct_numbers_than_the_cap_parse_as_cell_by_cell(self):
+        rng = random.Random(11)
+        rows = [[f"({rng.random()!r};{rng.random()!r};{rng.random()!r})" for _ in range(9)]
+                for _ in range(_SHARED_NUMBERS // 27 + 20)]
+        for row in rows:
+            row += [rows[0][0], "[0.25;0.5]", rng.choice("AB")]  # repeats on both sides of the cap
+        doc = ",".join(["", *(f"e{j}" for j in range(12))]) + "\n"
+        doc += "".join(f"c{i}," + ",".join(row) + "\n" for i, row in enumerate(rows))
+        table = parse_table(doc)
+        expected = tuple(tuple(parse_cell(token) for token in row) for row in rows)
+        assert table.cells == expected and repr(table.cells) == repr(expected)
 
 
 class TestWriteTable:
