@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import stat
 import sys
 from typing import Any, Callable, Optional, Sequence
 
@@ -101,21 +102,32 @@ def _load(path: str, parse: Callable[..., Any]) -> Any:
 def _write_report(path: str, text: str) -> None:
     """Write the whole report to ``path`` or leave what was there untouched.
 
-    The text goes to a new file beside the target, which is then renamed
-    onto it; on any failure the new file is removed. A target that exists
-    but is not a regular file (a pipe or a device such as /dev/stdout)
-    cannot be renamed onto, so it is written in place.
+    The text goes to a new file beside the target, with the mode of the file
+    it replaces, and is renamed onto it; on any failure the new file is
+    removed. A pipe or a device cannot be renamed onto, so it is written in
+    place; this process's own standard output or error, through its stream.
     """
-    target = os.path.realpath(path)
-    if os.path.exists(target) and not os.path.isfile(target):
-        with open(target, "w", encoding="utf-8", newline="") as handle:
+    status = os.stat(path) if os.path.exists(path) else None  # through /dev/stdout to its pipe or file
+    if status is not None and not stat.S_ISREG(status.st_mode):
+        with open(path, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)
         return
+    for fd, stream in ((1, sys.stdout), (2, sys.stderr)) if status is not None else ():
+        try:
+            same = os.path.samestat(status, os.fstat(fd))
+        except OSError:  # a closed descriptor is no file
+            continue
+        if same:
+            print(text, end="", file=stream, flush=True)
+            return
+    target = os.path.realpath(path)
     directory, name = os.path.split(target)
     temporary = os.path.join(directory, f".{name}.{os.urandom(6).hex()}.tmp")
     descriptor = os.open(temporary, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with open(descriptor, "w", encoding="utf-8", newline="") as handle:
+            if status is not None:
+                os.fchmod(descriptor, stat.S_IMODE(status.st_mode))
             handle.write(text)
         os.replace(temporary, target)
     except BaseException:

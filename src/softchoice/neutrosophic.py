@@ -1,9 +1,9 @@
 """Truth / indeterminacy / falsity triplets and the aggregation defined on them.
 
-Two value types keep the algebra honest: ``Triplet`` enforces the unit-box
-constraint on every component, while ``TripletAccumulator`` carries the
-intermediate sums and scalings, which routinely leave the box. Adding or
-scaling either kind yields an accumulator; ``mean`` brings the result back
+``TripletAccumulator`` carries the intermediate sums and scalings, which
+routinely leave the unit box; ``Triplet`` narrows it to components in
+[0, 1]. Adding or scaling either kind (``k * t`` and ``t * k`` are
+``t.scale(k)``) yields an accumulator; ``mean`` brings the result back
 into the box, where it provably belongs.
 """
 
@@ -17,8 +17,8 @@ from ._checks import FLOAT_MAX, Frozen, checked_real
 
 
 @dataclass(frozen=True)
-class _Components(Frozen):
-    """Truth, indeterminacy and falsity components; nonnegative, bounded above by ``_high``."""
+class TripletAccumulator(Frozen):
+    """Componentwise sums and scalings of triplets; nonnegative, bounded above only by ``_high``."""
 
     __slots__ = ("truth", "indeterminacy", "falsity")
     truth: float
@@ -43,8 +43,8 @@ class _Components(Frozen):
         """The table token, ``(truth;indeterminacy;falsity)``; a boxed one re-parses exactly."""
         return f"({self.truth!r};{self.indeterminacy!r};{self.falsity!r})"
 
-    def __add__(self, other: "_Components") -> "TripletAccumulator":
-        if not isinstance(other, _Components):
+    def __add__(self, other: "TripletAccumulator") -> "TripletAccumulator":
+        if not isinstance(other, TripletAccumulator):
             return NotImplemented
         return TripletAccumulator(
             self.truth + other.truth,
@@ -57,28 +57,19 @@ class _Components(Frozen):
         k = checked_real(k, "scalar", low=0.0, strict=True)
         return TripletAccumulator(k * self.truth, k * self.indeterminacy, k * self.falsity)
 
-    def __mul__(self, k: float) -> "TripletAccumulator":
-        return self.scale(k)
+    __mul__ = __rmul__ = scale
 
-    __rmul__ = __mul__
+    def as_triplet(self) -> "Triplet":
+        """Reinterpret as a boxed triplet; fails if any component exceeds 1."""
+        return Triplet(self.truth, self.indeterminacy, self.falsity)
 
 
-class Triplet(_Components):
+class Triplet(TripletAccumulator):
     """Degrees of truth, indeterminacy and falsity, each constrained to [0, 1]."""
 
     __slots__ = ()
     _high = 1.0
     _labels = ("truth degree", "indeterminacy degree", "falsity degree")
-
-
-class TripletAccumulator(_Components):
-    """Componentwise sums and scalings of triplets; nonnegative, no upper bound."""
-
-    __slots__ = ()
-
-    def as_triplet(self) -> Triplet:
-        """Reinterpret as a boxed triplet; fails if any component exceeds 1."""
-        return Triplet(self.truth, self.indeterminacy, self.falsity)
 
 
 def mean(items: Iterable[Tuple[Triplet, int]]) -> Triplet:

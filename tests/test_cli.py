@@ -1,6 +1,7 @@
 import errno
 import json
 import os
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -367,6 +368,65 @@ class TestOutputFile:
         ])
         assert code == 0
         assert capsys.readouterr() == ("", "")
+
+    @pytest.mark.parametrize("through_link", [False, True], ids=["direct", "symlink"])
+    def test_replaced_report_keeps_its_mode(self, docs, tmp_path, capsys, through_link):
+        target = tmp_path / "report.txt"
+        target.write_text("an earlier report\n", encoding="utf-8")
+        os.chmod(target, 0o600)
+        if stat.S_IMODE(os.stat(target).st_mode) != 0o600:
+            pytest.skip("file modes cannot be set here")
+        path = target
+        if through_link:
+            path = tmp_path / "link.txt"
+            path.symlink_to(target)
+        argv = ["decide", "--input", docs["binary"], "--method", "binary"]
+        assert run_cli(argv) == 0
+        expected = capsys.readouterr().out
+        assert run_cli([*argv, "--output", str(path)]) == 0
+        assert target.read_text(encoding="utf-8") == expected
+        assert stat.S_IMODE(os.stat(target).st_mode) == 0o600
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="no /dev/stdout")
+class TestOutputToOwnStdout:
+    """``--output /dev/stdout`` in a child process whose standard output is a pipe or a file."""
+
+    @staticmethod
+    def _child(docs, stdout, output="/dev/stdout", before=""):
+        """Run the CLI in a child that first executes ``before``, e.g. to close a descriptor."""
+        env = dict(os.environ, PYTHONPATH=str(Path(softchoice.__file__).parent.parent))
+        argv = ["decide", "--input", docs["binary"], "--method", "binary", "--output", output]
+        probe = f"{before}from softchoice.cli import main; main()"
+        return subprocess.run(
+            [sys.executable, "-c", probe, *argv],
+            stdout=stdout, stderr=subprocess.PIPE, env=env, timeout=60,
+        )
+
+    @pytest.fixture
+    def report(self, docs, capsys):
+        assert run_cli(["decide", "--input", docs["binary"], "--method", "binary"]) == 0
+        return capsys.readouterr().out.encode("utf-8")
+
+    def test_a_pipe_holds_exactly_the_report(self, docs, report):
+        child = self._child(docs, subprocess.PIPE)
+        assert (child.returncode, child.stdout, child.stderr) == (0, report, b"")
+
+    def test_a_redirected_file_keeps_what_is_written_around_the_report(self, docs, report, tmp_path):
+        log = tmp_path / "log.txt"
+        with open(log, "wb", buffering=0) as handle:
+            handle.write(b"header\n")
+            child = self._child(docs, handle)
+            handle.write(b"footer\n")
+        assert (child.returncode, child.stderr) == (0, b"")
+        assert log.read_bytes() == b"header\n" + report + b"footer\n"
+
+    def test_a_closed_standard_error_matches_no_target(self, docs, report, tmp_path):
+        target = tmp_path / "report.txt"
+        target.write_bytes(b"an earlier report\n")
+        child = self._child(docs, subprocess.PIPE, output=str(target), before="import os; os.close(2); ")
+        assert (child.returncode, child.stdout) == (0, b"")
+        assert target.read_bytes() == report
 
 
 class TestModuleEntryPoint:

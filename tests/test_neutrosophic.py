@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from softchoice.engine import NeutroCell
 from softchoice.grey import GreyNumber
 from softchoice.neutrosophic import (
     InformationClass,
@@ -68,6 +69,36 @@ class TestTriplet:
         assert boxed == Triplet(0.4, 0.075, 0.525)
         with pytest.raises(ValueError):
             TripletAccumulator(1.5, 0.0, 0.0).as_triplet()
+
+
+class TestHierarchy:
+    """A ``Triplet`` is a ``TripletAccumulator`` narrowed to the unit box; sums and scalings leave it."""
+
+    @settings(max_examples=200)
+    @given(triplets)
+    def test_a_triplet_is_an_accumulator_that_reads_back_as_itself(self, t):
+        assert isinstance(t, TripletAccumulator)
+        boxed = t.as_triplet()
+        assert type(boxed) is Triplet and boxed == t
+
+    @settings(max_examples=200)
+    @given(triplets, triplets, st.floats(min_value=0.0, max_value=4.0, exclude_min=True))
+    def test_sums_and_scalings_are_accumulators_never_triplets(self, t, u, k):
+        for value in (t + u, k * t, t * k, t.scale(k)):
+            assert type(value) is TripletAccumulator
+
+    @settings(max_examples=200)
+    @given(triplets, st.floats(min_value=1.0, max_value=2.0, exclude_min=True), st.integers(0, 2))
+    def test_an_accumulator_above_one_is_refused_where_a_triplet_is_expected(self, t, above, at):
+        components = [t.truth, t.indeterminacy, t.falsity]
+        components[at] = above
+        value = TripletAccumulator(*components)
+        with pytest.raises(TypeError, match=r"^mean expects Triplet values, got TripletAccumulator$"):
+            mean([(value, 1)])
+        with pytest.raises(TypeError, match=r"^neutrosophic cells hold a Triplet, got TripletAccumulator$"):
+            NeutroCell(value)
+        with pytest.raises(TypeError, match=r"^expected a Triplet, got TripletAccumulator$"):
+            classify_information(value)
 
 
 class TestAddition:

@@ -17,7 +17,7 @@ from softchoice._checks import checked_real
 from softchoice.engine import BinCell, DecisionTable, GradeCell, GreyCell, NeutroCell, decide
 from softchoice.grades import GradeScale, ScaleValidationError
 from softchoice.grey import GreyNumber
-from softchoice.neutrosophic import Triplet, TripletAccumulator, _Components, classify_information
+from softchoice.neutrosophic import Triplet, TripletAccumulator, classify_information
 
 MAX = sys.float_info.max
 
@@ -81,7 +81,7 @@ _EXAMPLES = (
     GreyCell(GreyNumber(0.25, 0.5)),
     NeutroCell(Triplet(0.5, 0.25, 0.125)),
     GreyNumber(-1.5, 2.0),
-    _Components(0.1, 2.0, 3.0),
+    pytest.param(TripletAccumulator(0.1, 2.0, 3.0), id="TripletAccumulator-base"),
     Triplet(0.1, 0.2, 0.3),
     TripletAccumulator(1.5, 0.0, 7.25),
 )
