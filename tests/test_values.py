@@ -81,7 +81,7 @@ _EXAMPLES = (
     GreyCell(GreyNumber(0.25, 0.5)),
     NeutroCell(Triplet(0.5, 0.25, 0.125)),
     GreyNumber(-1.5, 2.0),
-    pytest.param(TripletAccumulator(0.1, 2.0, 3.0), id="TripletAccumulator-base"),
+    pytest.param(TripletAccumulator(0.1, 2.0, 3.0), id="accumulator-above-one"),
     Triplet(0.1, 0.2, 0.3),
     TripletAccumulator(1.5, 0.0, 7.25),
 )
