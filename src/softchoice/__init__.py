@@ -28,7 +28,7 @@ from .neutrosophic import (
     classify_information,
     mean,
 )
-from .softset import BinaryTable, SoftSet
+from .softset import SoftSet
 from .tableio import (
     ParseError,
     parse_cell,
@@ -36,7 +36,6 @@ from .tableio import (
     parse_table,
     render_report_json,
     render_report_text,
-    write_binary_table,
     write_scale,
     write_table,
 )
@@ -45,7 +44,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BinCell",
-    "BinaryTable",
     "Cell",
     "CellMismatchError",
     "Criterion",
@@ -80,7 +78,6 @@ __all__ = [
     "render_report_json",
     "render_report_text",
     "run_cli",
-    "write_binary_table",
     "write_scale",
     "write_table",
 ]

@@ -1,11 +1,11 @@
-"""The one finite-real check, and the one base of the frozen, hand-slotted value classes."""
+"""The one finite-real check, the one identifier check, and the one base of the frozen slotted classes."""
 
 from __future__ import annotations
 
 import dataclasses
 import math
 import sys
-from typing import Optional
+from typing import Iterable, Optional
 
 FLOAT_MAX = sys.float_info.max
 
@@ -52,3 +52,19 @@ def checked_real(
             wanted = f"lie in {left}{low:g}, {high:g}{right}"
         raise ValueError(f"{name} must {wanted}, got {value!r}")
     return value
+
+
+def checked_ids(ids: Iterable[str], kind: str) -> tuple:
+    """``ids`` as a tuple, once each is a non-empty string and none repeats; ``kind`` names them."""
+    out = tuple(ids)
+    for value in out:
+        if not isinstance(value, str) or not value:
+            raise ValueError(f"{kind} identifiers must be non-empty strings, got {value!r}")
+    if len(set(out)) != len(out):
+        seen, dupes = set(), {}  # dict: keys in order of second occurrence
+        for value in out:
+            if value in seen:
+                dupes[value] = None
+            seen.add(value)
+        raise ValueError(f"duplicate {kind} identifiers: {', '.join(dupes)}")
+    return out

@@ -184,8 +184,8 @@ def run_cli(argv: Optional[Sequence[str]] = None) -> int:
     else:
         try:
             _write_report(options.output, rendered)
-        except OSError as exc:
-            return _fail(EXIT_INVALID, f"cannot write {options.output}: {exc}")
+        except OSError as exc:  # its filename may be the temporary, which the user never named
+            return _fail(EXIT_INVALID, f"cannot write {options.output}: {exc.strerror or exc}")
     return EXIT_OK
 
 

@@ -19,11 +19,10 @@ from dataclasses import dataclass, field
 from operator import attrgetter, itemgetter
 from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple, Union
 
-from ._checks import Frozen, checked_real
+from ._checks import Frozen, checked_ids, checked_real
 from .grades import GradeScale, ScaleValidationError, UnknownGradeError, default_scale
 from .grey import GreyNumber
 from .neutrosophic import Triplet, mean
-from .softset import _checked_grid
 
 
 @dataclass(frozen=True)
@@ -105,24 +104,33 @@ class Criterion(enum.Enum):
     COMBINED = "combined"
 
 
-def _check_cell(candidate: str, cell: Any) -> None:
-    if type(cell) not in _DESCRIBE:
-        raise TypeError(f"row {candidate!r} holds a non-cell value {cell!r}")
-
-
 @dataclass(frozen=True)
 class DecisionTable:
-    """Candidates by parameters cell matrix; at least one of each, all unique."""
+    """Candidates by parameters cell matrix; at least one of each, all unique.
+
+    Every cell is exactly one of the four cell classes; a soft set's tabular
+    form is the case where every cell is a BinCell.
+    """
 
     candidates: tuple
     parameters: tuple
     cells: tuple
 
     def __post_init__(self) -> None:
-        candidates, parameters, cells = _checked_grid(
-            self.candidates, self.parameters, self.cells, ("candidate", "parameter"),
-            _check_cell, table="a decision table",
-        )
+        candidates = checked_ids(self.candidates, "candidate")
+        parameters = checked_ids(self.parameters, "parameter")
+        for kind, ids in (("candidate", candidates), ("parameter", parameters)):
+            if not ids:
+                raise ValueError(f"a decision table needs at least one {kind}")
+        cells = tuple(tuple(row) for row in self.cells)
+        if len(cells) != len(candidates):
+            raise ValueError(f"expected {len(candidates)} cell rows, got {len(cells)}")
+        for candidate, row in zip(candidates, cells):
+            if len(row) != len(parameters):
+                raise ValueError(f"row {candidate!r} has {len(row)} cells, expected {len(parameters)}")
+            for cell in row:
+                if type(cell) not in _DESCRIBE:
+                    raise TypeError(f"row {candidate!r} holds a non-cell value {cell!r}")
         object.__setattr__(self, "candidates", candidates)
         object.__setattr__(self, "parameters", parameters)
         object.__setattr__(self, "cells", cells)

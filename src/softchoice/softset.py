@@ -3,72 +3,12 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Mapping, Optional, Sequence, Tuple
+from typing import Mapping, Sequence
 
-from ._checks import checked_real
+from ._checks import checked_ids, checked_real
+from .engine import BinCell, DecisionTable
 
-
-def _checked_ids(ids: Iterable[str], kind: str) -> tuple:
-    out = tuple(ids)
-    for value in out:
-        if not isinstance(value, str) or not value:
-            raise ValueError(f"{kind} identifiers must be non-empty strings, got {value!r}")
-    if len(set(out)) != len(out):
-        seen, dupes = set(), {}  # dict: keys in order of second occurrence
-        for value in out:
-            if value in seen:
-                dupes[value] = None
-            seen.add(value)
-        raise ValueError(f"duplicate {kind} identifiers: {', '.join(dupes)}")
-    return out
-
-
-def _checked_grid(
-    row_ids: Iterable[str], col_ids: Iterable[str], cells: Iterable[Iterable[Any]],
-    kinds: Tuple[str, str], check_cell: Callable[[str, Any], None], table: Optional[str] = None,
-) -> Tuple[tuple, tuple, tuple]:
-    """Validated (row ids, column ids, cell rows) of a rectangular table.
-
-    ``kinds`` name the row and column ids; a named ``table`` needs at least one
-    of each. ``check_cell(row_id, value)`` raises on a cell the table rejects.
-    """
-    rows = _checked_ids(row_ids, kinds[0])
-    cols = _checked_ids(col_ids, kinds[1])
-    if table is not None:
-        for kind, ids in zip(kinds, (rows, cols)):
-            if not ids:
-                raise ValueError(f"{table} needs at least one {kind}")
-    grid = tuple(tuple(row) for row in cells)
-    if len(grid) != len(rows):
-        raise ValueError(f"expected {len(rows)} cell rows, got {len(grid)}")
-    for row_id, row in zip(rows, grid):
-        if len(row) != len(cols):
-            raise ValueError(f"row {row_id!r} has {len(row)} cells, expected {len(cols)}")
-        for value in row:
-            check_cell(row_id, value)
-    return rows, cols, grid
-
-
-def _check_binary(row_id: str, value: Any) -> None:
-    if isinstance(value, bool) or value not in (0, 1):
-        raise ValueError(f"row {row_id!r} holds non-binary cell {value!r}")
-
-
-@dataclass(frozen=True)
-class BinaryTable:
-    """0/1 matrix whose rows are universe elements and columns are parameters."""
-
-    row_ids: tuple
-    col_ids: tuple
-    cells: tuple
-
-    def __post_init__(self) -> None:
-        rows, cols, cells = _checked_grid(
-            self.row_ids, self.col_ids, self.cells, ("row", "column"), _check_binary
-        )
-        object.__setattr__(self, "row_ids", rows)
-        object.__setattr__(self, "col_ids", cols)
-        object.__setattr__(self, "cells", cells)
+_BINARY = (BinCell(0), BinCell(1))  # cells are frozen, so every tabulated 0 or 1 shares one
 
 
 @dataclass(frozen=True)
@@ -77,7 +17,9 @@ class SoftSet:
 
     Universe and parameter lists are ordered so the tabular form is
     deterministic. A parameter missing from ``value_sets`` gets the empty
-    set; a key naming no known parameter is rejected.
+    set; a key naming no known parameter is rejected. The tabular form is a
+    DecisionTable of 0/1 cells, so every method scores a soft set directly:
+    ``decide(soft.tabulate(), "binary")`` gives its choice values.
     """
 
     universe: tuple
@@ -85,8 +27,8 @@ class SoftSet:
     value_sets: Mapping[str, frozenset]
 
     def __post_init__(self) -> None:
-        universe = _checked_ids(self.universe, "universe")
-        parameters = _checked_ids(self.parameters, "parameter")
+        universe = checked_ids(self.universe, "universe")
+        parameters = checked_ids(self.parameters, "parameter")
         members = set(universe)
         raw = dict(self.value_sets)
         unknown = set(raw).difference(parameters)
@@ -106,24 +48,28 @@ class SoftSet:
         object.__setattr__(self, "parameters", parameters)
         object.__setattr__(self, "value_sets", value_sets)
 
-    def tabulate(self) -> BinaryTable:
-        """Binary matrix form: cell (x, e) is 1 exactly when x satisfies e."""
+    def tabulate(self) -> DecisionTable:
+        """Tabular form: cell (x, e) is 1 exactly when x satisfies e; ValueError if either list is empty."""
         rows = tuple(
-            tuple(1 if element in self.value_sets[parameter] else 0 for parameter in self.parameters)
+            tuple(_BINARY[element in self.value_sets[parameter]] for parameter in self.parameters)
             for element in self.universe
         )
-        return BinaryTable(self.universe, self.parameters, rows)
+        return DecisionTable(self.universe, self.parameters, rows)
 
     @classmethod
-    def from_table(cls, table: BinaryTable) -> "SoftSet":
-        """Inverse of :meth:`tabulate`."""
+    def from_table(cls, table: DecisionTable) -> "SoftSet":
+        """Inverse of :meth:`tabulate`; ValueError for a cell that is not a BinCell."""
+        for candidate, row in zip(table.candidates, table.cells):
+            for cell in row:
+                if type(cell) is not BinCell:
+                    raise ValueError(f"row {candidate!r} holds non-binary cell {cell!r}")
         value_sets = {
             parameter: frozenset(
-                row_id for row_id, row in zip(table.row_ids, table.cells) if row[index]
+                candidate for candidate, row in zip(table.candidates, table.cells) if row[index].value
             )
-            for index, parameter in enumerate(table.col_ids)
+            for index, parameter in enumerate(table.parameters)
         }
-        return cls(table.row_ids, table.col_ids, value_sets)
+        return cls(table.candidates, table.parameters, value_sets)
 
     @classmethod
     def from_fuzzy(cls, membership: Mapping[str, float], alphas: Sequence[float]) -> "SoftSet":

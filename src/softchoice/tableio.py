@@ -40,7 +40,6 @@ from .engine import (
 from .grades import GradeScale, ScaleValidationError
 from .grey import GreyNumber
 from .neutrosophic import Triplet
-from .softset import BinaryTable
 
 _NUMBER = r"([0-9]+(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?)"
 _LABEL = r"[A-Za-z][A-Za-z0-9_]*"  # grade labels: in cells, in scale entries and in write_scale
@@ -204,25 +203,15 @@ def parse_table(text: str, source: str = "<table>") -> DecisionTable:
     return DecisionTable(tuple(candidates), tuple(parameters), tuple(cell_rows))
 
 
-def _write_grid(col_ids, row_ids, cells, token) -> str:
-    if not col_ids or not row_ids:
-        raise ValueError("a table document needs at least one row and one column")
-    for ident in (*col_ids, *row_ids):
-        if not _IDENT_RE.match(ident):
-            raise ValueError(f"identifier {ident!r} must be non-empty and contain no commas or whitespace")
-    lines = ["," + ",".join(col_ids)]
-    lines += [row_id + "," + ",".join(map(token, row)) for row_id, row in zip(row_ids, cells)]
-    return "\n".join(lines) + "\n"
-
-
 def write_table(table: DecisionTable) -> str:
     """Canonical table document that parse_table gives back exactly; else ValueError."""
-    return _write_grid(table.parameters, table.candidates, table.cells, format_cell)
-
-
-def write_binary_table(table: BinaryTable) -> str:
-    """Serialize a 0/1 matrix in the same dialect; it re-parses as an all-binary table."""
-    return _write_grid(table.col_ids, table.row_ids, table.cells, str)
+    for ident in (*table.parameters, *table.candidates):
+        if not _IDENT_RE.match(ident):
+            raise ValueError(f"identifier {ident!r} must be non-empty and contain no commas or whitespace")
+    lines = ["," + ",".join(table.parameters)]
+    for candidate, row in zip(table.candidates, table.cells):
+        lines.append(candidate + "," + ",".join(map(format_cell, row)))
+    return "\n".join(lines) + "\n"
 
 
 def parse_scale(text: str, source: str = "<scale>") -> GradeScale:

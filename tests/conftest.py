@@ -2,6 +2,7 @@ import pytest
 
 from softchoice.engine import BinCell, DecisionTable, GradeCell, NeutroCell
 from softchoice.neutrosophic import Triplet
+from softchoice.softset import SoftSet
 
 CANDIDATES = ("P1", "P2", "P3", "P4", "P5", "P6")
 PARAMETERS = ("e1", "e2", "e3", "e4")
@@ -16,6 +17,18 @@ _BINARY_ROWS = (
     (0, 0, 0, 1),
     (0, 1, 1, 0),
     (1, 1, 0, 0),
+)
+
+# The same 0/1 table as a soft set: each parameter's set of players.
+PLAYERS_SOFT_SET = SoftSet(
+    CANDIDATES,
+    PARAMETERS,
+    {
+        "e1": {"P1", "P2", "P6"},
+        "e2": {"P2", "P3", "P5", "P6"},
+        "e3": {"P3", "P5"},
+        "e4": {"P4"},
+    },
 )
 
 _GRADED_ROWS = (

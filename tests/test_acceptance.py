@@ -27,7 +27,7 @@ from softchoice.engine import (
 from softchoice.grades import default_scale
 from softchoice.grey import GreyNumber
 from softchoice.neutrosophic import Triplet, mean
-from softchoice.softset import BinaryTable, SoftSet
+from softchoice.softset import SoftSet
 from softchoice.tableio import parse_table, write_table
 
 from conftest import (
@@ -245,7 +245,8 @@ def test_c8_soft_set_suite():
             "expensive": {"H3"},
         },
     )
-    assert houses.tabulate().cells == ((1, 0, 0), (1, 1, 0), (0, 1, 1))
+    one, zero = BinCell(1), BinCell(0)
+    assert houses.tabulate().cells == ((one, zero, zero), (one, one, zero), (zero, one, one))
 
     rng = random.Random(84)
     for _ in range(200):
@@ -259,8 +260,8 @@ def test_c8_soft_set_suite():
             },
         )
         assert SoftSet.from_table(soft.tabulate()) == soft
-        rows = tuple(tuple(rng.randint(0, 1) for _ in parameters) for _ in universe)
-        matrix = BinaryTable(universe, parameters, rows)
+        rows = tuple(tuple(BinCell(rng.randint(0, 1)) for _ in parameters) for _ in universe)
+        matrix = DecisionTable(universe, parameters, rows)
         assert SoftSet.from_table(matrix).tabulate() == matrix
 
     for _ in range(200):

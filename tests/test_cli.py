@@ -292,6 +292,15 @@ _ERROR_GOLDENS = {
         ",e1\nc1,E\n", None, ["--method", "grey"],
         2, "error: {table}: unknown grade 'E' in cell (c1, e1); the scale defines A, B, C, D, F\n",
     ),
+    "header-without-parameters": (
+        "e1\nc1\n", None, ["--method", "binary"],
+        2, "error: {table}:1: header must hold a corner field followed by at least one parameter\n",
+    ),
+    "candidate-with-whitespace": (
+        ",e1\na b,1\n", None, ["--method", "binary"],
+        2, "error: {table}:2 field 1: candidate identifier 'a b' must be non-empty "
+           "and contain no commas or whitespace\n",
+    ),
 }
 
 
@@ -360,6 +369,16 @@ class TestOutputFile:
         assert code == 2
         assert str(target) in capsys.readouterr().err
 
+    def test_a_failed_write_names_the_given_path_not_the_temporary(self, docs, tmp_path, capsys):
+        target = tmp_path / "absent" / "report.txt"
+        code = run_cli([
+            "decide", "--input", docs["binary"], "--method", "binary",
+            "--output", str(target),
+        ])
+        assert (code, capsys.readouterr().err) == (
+            2, f"error: cannot write {target}: No such file or directory\n",
+        )
+
     @pytest.mark.skipif(not os.path.exists(os.devnull), reason="no null device")
     def test_device_target_is_written_in_place(self, docs, capsys):
         code = run_cli([
@@ -427,6 +446,12 @@ class TestOutputToOwnStdout:
         child = self._child(docs, subprocess.PIPE, output=str(target), before="import os; os.close(2); ")
         assert (child.returncode, child.stdout) == (0, b"")
         assert target.read_bytes() == report
+
+    def test_a_closed_standard_output_is_named_as_given(self, docs):
+        child = self._child(docs, subprocess.PIPE, before="import os; os.close(1); ")
+        assert (child.returncode, child.stderr) == (
+            2, b"error: cannot write /dev/stdout: No such file or directory\n",
+        )
 
 
 class TestModuleEntryPoint:

@@ -3,7 +3,10 @@ import time
 
 import pytest
 
-from softchoice.softset import BinaryTable, SoftSet
+from softchoice.engine import BinCell, DecisionTable, GradeCell, decide
+from softchoice.softset import SoftSet
+
+from conftest import BINARY_SCORES, PLAYERS_SOFT_SET
 
 # Three houses judged cheap / beautiful / expensive.
 HOUSES = ("H1", "H2", "H3")
@@ -14,6 +17,16 @@ HOUSE_VALUE_SETS = {
     "expensive": frozenset({"H3"}),
 }
 HOUSE_ROWS = ((1, 0, 0), (1, 1, 0), (0, 1, 1))
+
+
+def binary_table(row_ids, col_ids, rows):
+    """The DecisionTable of a 0/1 matrix given as rows of ints."""
+    return DecisionTable(row_ids, col_ids, tuple(tuple(map(BinCell, row)) for row in rows))
+
+
+def binary_rows(table):
+    """The cells of an all-BinCell table as rows of ints."""
+    return tuple(tuple(cell.value for cell in row) for row in table.cells)
 
 
 def random_soft_set(rng, max_universe=6, max_parameters=5):
@@ -43,7 +56,7 @@ class TestConstruction:
         with pytest.raises(ValueError, match="duplicate"):
             SoftSet(("a", "a"), ("e1",), {})
         with pytest.raises(ValueError, match="duplicate"):
-            BinaryTable(("a",), ("e1", "e1"), ((0, 0),))
+            binary_table(("a",), ("e1", "e1"), ((0, 0),))
 
     def test_duplicate_check_is_linear(self):
         ids = tuple(f"x{i}" for i in range(20_000)) * 2
@@ -57,43 +70,33 @@ class TestConstruction:
         started = time.perf_counter()
         soft = SoftSet(("a",), parameters, {parameter: {"a"} for parameter in parameters})
         assert time.perf_counter() - started < 1.0
-        assert soft.tabulate().cells == ((1,) * 20_000,)
+        assert binary_rows(soft.tabulate()) == ((1,) * 20_000,)
 
     def test_non_binary_cells_rejected(self):
         with pytest.raises(ValueError, match="non-binary"):
-            BinaryTable(("a",), ("e1",), ((2,),))
+            SoftSet.from_table(DecisionTable(("a",), ("e1",), ((GradeCell("x"),),)))
 
     def test_mismatched_dimensions_rejected(self):
         with pytest.raises(ValueError):
-            BinaryTable(("a", "b"), ("e1",), ((0,),))
+            binary_table(("a", "b"), ("e1",), ((0,),))
         with pytest.raises(ValueError):
-            BinaryTable(("a",), ("e1",), ((0, 1),))
+            binary_table(("a",), ("e1",), ((0, 1),))
 
 
 class TestTabulate:
     def test_houses_example(self):
         soft = SoftSet(HOUSES, HOUSE_PARAMS, HOUSE_VALUE_SETS)
         table = soft.tabulate()
-        assert table.row_ids == HOUSES
-        assert table.col_ids == HOUSE_PARAMS
-        assert table.cells == HOUSE_ROWS
+        assert table.candidates == HOUSES
+        assert table.parameters == HOUSE_PARAMS
+        assert binary_rows(table) == HOUSE_ROWS
 
     def test_empty_value_sets_give_a_zero_matrix(self):
         soft = SoftSet(("a", "b"), ("e1", "e2"), {})
-        assert soft.tabulate().cells == ((0, 0), (0, 0))
+        assert binary_rows(soft.tabulate()) == ((0, 0), (0, 0))
 
     def test_players_example(self):
-        soft = SoftSet(
-            ("P1", "P2", "P3", "P4", "P5", "P6"),
-            ("e1", "e2", "e3", "e4"),
-            {
-                "e1": {"P1", "P2", "P6"},
-                "e2": {"P2", "P3", "P5", "P6"},
-                "e3": {"P3", "P5"},
-                "e4": {"P4"},
-            },
-        )
-        assert soft.tabulate().cells == (
+        assert binary_rows(PLAYERS_SOFT_SET.tabulate()) == (
             (1, 0, 0, 0),
             (1, 1, 0, 0),
             (0, 1, 1, 0),
@@ -102,15 +105,20 @@ class TestTabulate:
             (1, 1, 0, 0),
         )
 
+    def test_players_are_scored_by_the_binary_method_directly(self):
+        report = decide(PLAYERS_SOFT_SET.tabulate(), "binary")
+        assert report.scores == BINARY_SCORES
+        assert report.winners == ("P2", "P3", "P5", "P6")
+
 
 class TestFromTable:
     def test_houses_table_inverts_to_the_soft_set(self):
-        table = BinaryTable(HOUSES, HOUSE_PARAMS, HOUSE_ROWS)
+        table = binary_table(HOUSES, HOUSE_PARAMS, HOUSE_ROWS)
         soft = SoftSet.from_table(table)
         assert soft == SoftSet(HOUSES, HOUSE_PARAMS, HOUSE_VALUE_SETS)
 
     def test_zero_matrix_gives_empty_value_sets(self):
-        soft = SoftSet.from_table(BinaryTable(("a", "b"), ("e1", "e2"), ((0, 0), (0, 0))))
+        soft = SoftSet.from_table(binary_table(("a", "b"), ("e1", "e2"), ((0, 0), (0, 0))))
         assert all(not members for members in soft.value_sets.values())
 
     def test_round_trip_both_ways(self):

@@ -19,7 +19,7 @@ from softchoice.engine import (
 from softchoice.grades import GradeScale, ScaleValidationError, default_scale
 from softchoice.grey import GreyNumber
 from softchoice.neutrosophic import Triplet
-from softchoice.softset import BinaryTable
+from softchoice.softset import SoftSet
 from softchoice.tableio import (
     _SHARED_NUMBERS,
     ParseError,
@@ -29,12 +29,11 @@ from softchoice.tableio import (
     parse_table,
     render_report_json,
     render_report_text,
-    write_binary_table,
     write_scale,
     write_table,
 )
 
-from conftest import BINARY_DOC, DEFAULT_SCALE_DOC, GRADED_DOC, TRIPLET_DOC
+from conftest import BINARY_DOC, DEFAULT_SCALE_DOC, GRADED_DOC, PLAYERS_SOFT_SET, TRIPLET_DOC
 
 
 def random_table(rng, max_rows=6, max_cols=5):
@@ -355,20 +354,31 @@ class TestWriteTable:
             write_table(table)
 
     def test_binary_matrix_serializes_to_the_same_dialect(self):
-        matrix = BinaryTable(("H1", "H2"), ("cheap", "nice"), ((1, 0), (1, 1)))
-        doc = write_binary_table(matrix)
+        soft = SoftSet(("H1", "H2"), ("cheap", "nice"), {"cheap": {"H1", "H2"}, "nice": {"H2"}})
+        doc = write_table(soft.tabulate())
         table = parse_table(doc)
         assert table.candidates == ("H1", "H2")
         assert table.cells == ((BinCell(1), BinCell(0)), (BinCell(1), BinCell(1)))
 
+    def test_a_tabulated_soft_set_reads_back_as_itself(self):
+        assert write_table(PLAYERS_SOFT_SET.tabulate()) == (
+            ",e1,e2,e3,e4\nP1,1,0,0,0\nP2,1,1,0,0\nP3,0,1,1,0\nP4,0,0,0,1\nP5,0,1,1,0\nP6,1,1,0,0\n"
+        )
+        rng = random.Random(20261019)
+        for _ in range(50):
+            universe = tuple(f"x{i}" for i in range(1, rng.randint(1, 8) + 1))
+            parameters = tuple(f"e{j}" for j in range(1, rng.randint(1, 6) + 1))
+            value_sets = {parameter: {x for x in universe if rng.random() < 0.5} for parameter in parameters}
+            table = SoftSet(universe, parameters, value_sets).tabulate()
+            assert parse_table(write_table(table)) == table
 
-    @pytest.mark.parametrize("matrix", [
-        BinaryTable((), ("e1",), ()),
-        BinaryTable(("r1",), (), ((),)),
+    @pytest.mark.parametrize("soft", [
+        SoftSet((), ("e1",), {}),
+        SoftSet(("r1",), (), {}),
     ], ids=("no-rows", "no-columns"))
-    def test_a_matrix_without_rows_or_columns_is_refused(self, matrix):
-        with pytest.raises(ValueError, match="needs at least one row and one column"):
-            write_binary_table(matrix)
+    def test_a_matrix_without_rows_or_columns_is_refused(self, soft):
+        with pytest.raises(ValueError, match="a decision table needs at least one"):
+            soft.tabulate()
 
 
 class TestScaleDocuments:
