@@ -17,7 +17,7 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from operator import attrgetter, itemgetter
-from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple, Union
+from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional, Tuple, Union
 
 from ._checks import Frozen, checked_ids, checked_real
 from .grades import GradeScale, ScaleValidationError, UnknownGradeError, default_scale
@@ -162,17 +162,14 @@ _ABSENT = (Triplet(0.0, 0.0, 1.0), 1)
 
 
 def _fold_rows(
-    table: DecisionTable, method: Method, contributions: Mapping[type, Callable],
-    finish: Callable[[str, list], Score], hint: str,
-) -> Dict[str, Score]:
-    """Score each row of the table, the one procedure behind every method.
+    table: DecisionTable, method: Method, contributions: Mapping[type, Callable], hint: str,
+) -> Iterator[Tuple[str, list]]:
+    """Yield each candidate with its row's parts, the one walk behind every method.
 
     ``contributions`` maps each cell class the method accepts to the
-    function that turns such a cell into a part; ``finish(candidate, parts)``
-    turns a row's parts, in column order, into its score. A cell of any
-    other class is a mismatch, reported with ``hint``.
+    function that turns such a cell into a part; the parts come in column
+    order. A cell of any other class is a mismatch, reported with ``hint``.
     """
-    scores: Dict[str, Score] = {}
     for candidate, row in zip(table.candidates, table.cells):
         parts: list = []
         for parameter, cell in zip(table.parameters, row):
@@ -185,16 +182,13 @@ def _fold_rows(
             except UnknownGradeError as exc:  # the scale lookup cannot name the cell
                 exc.cell = (candidate, parameter)
                 raise
-        scores[candidate] = finish(candidate, parts)
-    return scores
+        yield candidate, parts
 
 
 def choice_values_binary(table: DecisionTable) -> Dict[str, int]:
     """Row sums of an all-binary table."""
-    return _fold_rows(
-        table, Method.BINARY, {BinCell: _VALUE},
-        lambda candidate, parts: sum(parts), "only 0/1 cells are allowed",
-    )
+    rows = _fold_rows(table, Method.BINARY, {BinCell: _VALUE}, "only 0/1 cells are allowed")
+    return {candidate: sum(parts) for candidate, parts in rows}
 
 
 def _grey_score(candidate: str, parts: list) -> float:
@@ -221,10 +215,8 @@ def choice_values_grey(table: DecisionTable, scale: GradeScale) -> Dict[str, flo
         GradeCell: lambda cell: scale[cell.label],
         GreyCell: attrgetter("interval"),
     }
-    return _fold_rows(
-        table, Method.GREY, contributions, _grey_score,
-        "only 0/1, grade and interval cells are allowed",
-    )
+    rows = _fold_rows(table, Method.GREY, contributions, "only 0/1, grade and interval cells are allowed")
+    return {candidate: _grey_score(candidate, parts) for candidate, parts in rows}
 
 
 def choice_values_neutrosophic(table: DecisionTable) -> Dict[str, Triplet]:
@@ -233,11 +225,12 @@ def choice_values_neutrosophic(table: DecisionTable) -> Dict[str, Triplet]:
         BinCell: lambda cell: _PRESENT if cell.value else _ABSENT,
         NeutroCell: lambda cell: (cell.triplet, 1),
     }
-    return _fold_rows(
-        table, Method.NEUTROSOPHIC, contributions, lambda candidate, parts: mean(parts),
+    rows = _fold_rows(
+        table, Method.NEUTROSOPHIC, contributions,
         "supply triplets for this cell (grades and intervals have no "
         "automatic triplet translation) or run the grey method",
     )
+    return {candidate: mean(parts) for candidate, parts in rows}
 
 
 def _ranked(

@@ -31,9 +31,9 @@ class SoftSet:
         parameters = checked_ids(self.parameters, "parameter")
         members = set(universe)
         raw = dict(self.value_sets)
-        unknown = set(raw).difference(parameters)
+        unknown = sorted(map(str, set(raw).difference(parameters)))
         if unknown:
-            raise ValueError(f"value sets given for unknown parameters: {', '.join(sorted(unknown))}")
+            raise ValueError(f"value sets given for unknown parameters: {', '.join(unknown)}")
         value_sets = {}
         for parameter in parameters:
             subset = frozenset(raw.get(parameter, ()))

@@ -292,6 +292,20 @@ _ERROR_GOLDENS = {
         ",e1\nc1,E\n", None, ["--method", "grey"],
         2, "error: {table}: unknown grade 'E' in cell (c1, e1); the scale defines A, B, C, D, F\n",
     ),
+    # The scoring walk reports the first bad cell in row-major order, whatever its fault.
+    "unknown-grade-before-a-triplet": (
+        ",e1,e2\nc1,E,(0.1;0.2;0.3)\n", None, ["--method", "grey"],
+        2, "error: {table}: unknown grade 'E' in cell (c1, e1); the scale defines A, B, C, D, F\n",
+    ),
+    "triplet-before-an-unknown-grade": (
+        ",e1,e2\nc1,(0.1;0.2;0.3),E\n", None, ["--method", "grey"],
+        3, "error: {table}: method 'grey' cannot use cell (c1, e1): found triplet (0.1;0.2;0.3); "
+           "only 0/1, grade and interval cells are allowed\n",
+    ),
+    "unknown-grade-in-a-later-row": (
+        ",e1,e2\nc1,1,0\nc2,E,(0.1;0.2;0.3)\n", None, ["--method", "grey"],
+        2, "error: {table}: unknown grade 'E' in cell (c2, e1); the scale defines A, B, C, D, F\n",
+    ),
     "header-without-parameters": (
         "e1\nc1\n", None, ["--method", "binary"],
         2, "error: {table}:1: header must hold a corner field followed by at least one parameter\n",

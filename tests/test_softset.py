@@ -48,6 +48,12 @@ class TestConstruction:
         with pytest.raises(ValueError, match="unknown parameter"):
             SoftSet(("a",), ("e1",), {"e2": {"a"}})
 
+    @pytest.mark.parametrize("keys, named", [((1,), "1"), ((1, "x"), "1, x")])
+    def test_unknown_key_of_any_type_is_named(self, keys, named):
+        with pytest.raises(ValueError) as raised:
+            SoftSet(("a",), ("e",), {key: {"a"} for key in keys})
+        assert str(raised.value) == f"value sets given for unknown parameters: {named}"
+
     def test_missing_parameter_defaults_to_empty_value_set(self):
         soft = SoftSet(("a", "b"), ("e1", "e2"), {"e1": {"a"}})
         assert soft.value_sets["e2"] == frozenset()
