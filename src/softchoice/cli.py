@@ -1,13 +1,15 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 usage error, 2 parse/validation error (including
-unreadable input files, unwritable output files, unknown grade labels and
+unreadable input files, unwritable reports, unknown grade labels and
 grey scores beyond the float range), 3 method/cell mismatch.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
+import gc
 import os
 import stat
 import sys
@@ -180,7 +182,17 @@ def run_cli(argv: Optional[Sequence[str]] = None) -> int:
         else tableio.render_report_json(report)
     )
     if options.output is None:
-        sys.stdout.write(rendered)
+        try:
+            if sys.stdout is None:  # the process started with descriptor 1 closed
+                raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+            sys.stdout.write(rendered)
+            sys.stdout.flush()
+        except OSError as exc:  # point descriptor 1 away, so the exit flush cannot fail again
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            if devnull != 1:
+                os.dup2(devnull, 1)
+                os.close(devnull)
+            return _fail(EXIT_INVALID, f"cannot write standard output: {exc.strerror or exc}")
     else:
         try:
             _write_report(options.output, rendered)
@@ -190,6 +202,9 @@ def run_cli(argv: Optional[Sequence[str]] = None) -> int:
 
 
 def main() -> None:
+    # One decision per process, all freed by reference counting: spare it the collector's walks.
+    gc.disable()
+    gc.freeze()
     raise SystemExit(run_cli())
 
 

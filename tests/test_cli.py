@@ -1,4 +1,5 @@
 import errno
+import gc
 import json
 import os
 import stat
@@ -421,6 +422,17 @@ class TestOutputFile:
         assert stat.S_IMODE(os.stat(target).st_mode) == 0o600
 
 
+def _main_in_child(docs, stdout, *options, before="", **environ):
+    """Run ``main`` on the binary table in a child that first executes ``before``."""
+    env = dict(os.environ, PYTHONPATH=str(Path(softchoice.__file__).parent.parent), **environ)
+    argv = ["decide", "--input", docs["binary"], "--method", "binary", *options]
+    probe = f"{before}from softchoice.cli import main; main()"
+    return subprocess.run(
+        [sys.executable, "-c", probe, *argv],
+        stdout=stdout, stderr=subprocess.PIPE, env=env, timeout=60,
+    )
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="no /dev/stdout")
 class TestOutputToOwnStdout:
     """``--output /dev/stdout`` in a child process whose standard output is a pipe or a file."""
@@ -428,13 +440,7 @@ class TestOutputToOwnStdout:
     @staticmethod
     def _child(docs, stdout, output="/dev/stdout", before=""):
         """Run the CLI in a child that first executes ``before``, e.g. to close a descriptor."""
-        env = dict(os.environ, PYTHONPATH=str(Path(softchoice.__file__).parent.parent))
-        argv = ["decide", "--input", docs["binary"], "--method", "binary", "--output", output]
-        probe = f"{before}from softchoice.cli import main; main()"
-        return subprocess.run(
-            [sys.executable, "-c", probe, *argv],
-            stdout=stdout, stderr=subprocess.PIPE, env=env, timeout=60,
-        )
+        return _main_in_child(docs, stdout, "--output", output, before=before)
 
     @pytest.fixture
     def report(self, docs, capsys):
@@ -466,6 +472,73 @@ class TestOutputToOwnStdout:
         assert (child.returncode, child.stderr) == (
             2, b"error: cannot write /dev/stdout: No such file or directory\n",
         )
+
+
+class TestUnwritableStandardOutput:
+    """A report that cannot reach standard output is invalid output: one line, exit 2."""
+
+    @staticmethod
+    def _expect(child, code):
+        message = f"error: cannot write standard output: {os.strerror(code)}\n"
+        assert (child.returncode, child.stderr) == (2, message.encode())
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+    def test_a_full_device(self, docs, unbuffered):
+        """Buffered output fails only at the flush, unbuffered output at the write."""
+        with open("/dev/full", "wb") as full:
+            child = _main_in_child(docs, full, PYTHONUNBUFFERED=unbuffered)
+        self._expect(child, errno.ENOSPC)
+
+    def test_a_pipe_whose_reader_has_gone(self, docs):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            self._expect(_main_in_child(docs, write_end), errno.EPIPE)
+        finally:
+            os.close(write_end)
+
+    def test_a_descriptor_closed_before_main(self, docs):
+        child = _main_in_child(docs, subprocess.PIPE, before="import os; os.close(1); ")
+        self._expect(child, errno.EBADF)
+
+    def test_no_standard_output_stream(self, docs):
+        child = _main_in_child(docs, subprocess.PIPE, before="import sys; sys.stdout = None; ")
+        self._expect(child, errno.EBADF)
+
+
+class TestCollector:
+    """Only ``main`` turns the cyclic collector off; ``run_cli`` leaves it alone."""
+
+    def test_run_cli_leaves_the_collector_as_it_found_it(self, docs, capsys):
+        before = (gc.isenabled(), gc.get_freeze_count())
+        assert run_cli(["decide", "--input", docs["triplet"], "--method", "neutrosophic"]) == 0
+        assert (gc.isenabled(), gc.get_freeze_count()) == before
+
+    @pytest.mark.parametrize("doc,method", [
+        (BINARY_DOC, "binary"), (GRADED_DOC, "grey"), (TRIPLET_DOC, "neutrosophic"),
+    ], ids=["binary", "grey", "neutrosophic"])
+    def test_nothing_cyclic_grows_with_the_table(self, tmp_path, doc, method):
+        """Reference counting frees a decision, so ``main`` may leave the collector off."""
+        header, *rows = doc.splitlines(keepends=True)
+
+        def cyclic_garbage_of_one_run(count):
+            path = tmp_path / f"{count}.csv"
+            body = (f"c{i},{rows[i % len(rows)].split(',', 1)[1]}" for i in range(count))
+            path.write_text(header + "".join(body), encoding="utf-8")
+            gc.collect()
+            argv = ["decide", "--input", str(path), "--method", method, "--output", f"{path}.out"]
+            assert run_cli(argv) == 0
+            return gc.collect()
+
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            counts = (cyclic_garbage_of_one_run(10), cyclic_garbage_of_one_run(2000))
+        finally:
+            if enabled:
+                gc.enable()
+        assert counts[0] == counts[1]
 
 
 class TestModuleEntryPoint:

@@ -1,15 +1,20 @@
 """Byte-for-byte reports on the paper's worked examples.
 
 Each command line below covers one method, criterion or output route; its
-report must equal the file of the same name under ``tests/golden/``. The
-files were captured from softchoice 0.1.0. A mismatch means a default
-report changed, which every refactoring must avoid.
+report must equal the file of the same name under ``tests/golden/``, both
+from ``run_cli`` in-process and from the console script's entry point in a
+child. The files were captured from softchoice 0.1.0. A mismatch means a
+default report changed, which every refactoring must avoid.
 """
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import softchoice
 from softchoice.cli import run_cli
 
 from conftest import BINARY_DOC, DEFAULT_SCALE_DOC, GRADED_DOC, TRIPLET_DOC
@@ -40,8 +45,8 @@ DOCS = {"binary": BINARY_DOC, "graded": GRADED_DOC, "triplet": TRIPLET_DOC,
         "scale": DEFAULT_SCALE_DOC}
 
 
-def _report(tmp_path, capsys, table, extra):
-    """The report of one command line, from standard output or from --output."""
+def _argv(tmp_path, table, extra):
+    """The arguments of one command line, with its documents written under ``tmp_path``."""
     for name, doc in DOCS.items():
         (tmp_path / name).write_text(doc, encoding="utf-8")
     args = ["decide", "--input", str(tmp_path / table)]
@@ -49,14 +54,49 @@ def _report(tmp_path, capsys, table, extra):
     for arg in extra:
         args.append(str(tmp_path / arg) if previous in ("--scale", "--output") else arg)
         previous = arg
-    assert run_cli(args) == 0
-    out = capsys.readouterr().out
+    return args
+
+
+def _report(tmp_path, extra, out):
+    """The report of one command line, from standard output or from --output."""
     if "--output" in extra:
-        assert out == ""
+        assert out == b""
         return (tmp_path / "report").read_bytes()
-    return out.encode("utf-8")
+    return out
 
 
 @pytest.mark.parametrize("name,table,extra", COMMAND_LINES, ids=[line[0] for line in COMMAND_LINES])
 def test_worked_example_report_is_byte_identical(tmp_path, capsys, name, table, extra):
-    assert _report(tmp_path, capsys, table, extra) == (GOLDEN / name).read_bytes()
+    assert run_cli(_argv(tmp_path, table, extra)) == 0
+    out = capsys.readouterr().out.encode("utf-8")
+    assert _report(tmp_path, extra, out) == (GOLDEN / name).read_bytes()
+
+
+# The console script's entry point in a child. At exit, after main has raised
+# SystemExit, the probe records whether the collector is enabled and whether
+# the import-time heap is frozen, into the file named by the first argument.
+_ENTRY_POINT = """\
+import atexit, gc, sys
+path = sys.argv.pop(1)
+
+def probe():
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(f"enabled={gc.isenabled()} frozen={gc.get_freeze_count() > 0}")
+
+atexit.register(probe)
+from softchoice.cli import main
+main()
+"""
+
+
+@pytest.mark.parametrize("name,table,extra", COMMAND_LINES, ids=[line[0] for line in COMMAND_LINES])
+def test_worked_example_report_through_the_entry_point(tmp_path, name, table, extra):
+    probe = tmp_path / "probe"
+    env = dict(os.environ, PYTHONPATH=str(Path(softchoice.__file__).parent.parent))
+    child = subprocess.run(
+        [sys.executable, "-c", _ENTRY_POINT, str(probe), *_argv(tmp_path, table, extra)],
+        capture_output=True, env=env, timeout=60,
+    )
+    assert (child.returncode, child.stderr) == (0, b"")
+    assert _report(tmp_path, extra, child.stdout) == (GOLDEN / name).read_bytes()
+    assert probe.read_text(encoding="utf-8") == "enabled=False frozen=True"
