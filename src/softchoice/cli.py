@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 usage error, 2 parse/validation error (including
-unreadable input files, unwritable reports, unknown grade labels and
+unreadable input files, unwritable or cut-short reports, unknown grade labels and
 grey scores beyond the float range), 3 method/cell mismatch.
 """
 
@@ -101,6 +101,27 @@ def _load(path: str, parse: Callable[..., Any]) -> Any:
         raise _InvalidInput(f"{path}: {exc}") from None
 
 
+def _write_stream(fd: int, stream: Any, text: str) -> None:
+    """Write all of ``text`` to ``stream``, this process's descriptor ``fd``, as UTF-8."""
+    try:
+        if stream is None:  # the process started with the descriptor closed
+            raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+        stream.flush()  # what the text layer holds goes first
+        sink = getattr(stream, "buffer", stream)  # a StringIO takes the text itself
+        data = text if sink is stream else memoryview(text.encode("utf-8"))
+        while data:  # a raw binary layer may take part of a write
+            if not (taken := sink.write(data)):  # None: a full non-blocking descriptor
+                raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+            data = data[taken:]
+        stream.flush()
+    except OSError:  # point the descriptor away, so the exit flush cannot fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        if devnull != fd:
+            os.dup2(devnull, fd)
+            os.close(devnull)
+        raise
+
+
 def _write_report(path: str, text: str) -> None:
     """Write the whole report to ``path`` or leave what was there untouched.
 
@@ -109,6 +130,8 @@ def _write_report(path: str, text: str) -> None:
     removed. A pipe or a device cannot be renamed onto, so it is written in
     place; this process's own standard output or error, through its stream.
     """
+    if not path:  # as open("") fails, before anything is created beside the working directory
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
     status = os.stat(path) if os.path.exists(path) else None  # through /dev/stdout to its pipe or file
     if status is not None and not stat.S_ISREG(status.st_mode):
         with open(path, "w", encoding="utf-8", newline="") as handle:
@@ -120,8 +143,7 @@ def _write_report(path: str, text: str) -> None:
         except OSError:  # a closed descriptor is no file
             continue
         if same:
-            print(text, end="", file=stream, flush=True)
-            return
+            return _write_stream(fd, stream, text)
     target = os.path.realpath(path)
     directory, name = os.path.split(target)
     temporary = os.path.join(directory, f".{name}.{os.urandom(6).hex()}.tmp")
@@ -181,23 +203,14 @@ def run_cli(argv: Optional[Sequence[str]] = None) -> int:
         if options.format_ == "text"
         else tableio.render_report_json(report)
     )
-    if options.output is None:
-        try:
-            if sys.stdout is None:  # the process started with descriptor 1 closed
-                raise OSError(errno.EBADF, os.strerror(errno.EBADF))
-            sys.stdout.write(rendered)
-            sys.stdout.flush()
-        except OSError as exc:  # point descriptor 1 away, so the exit flush cannot fail again
-            devnull = os.open(os.devnull, os.O_WRONLY)
-            if devnull != 1:
-                os.dup2(devnull, 1)
-                os.close(devnull)
-            return _fail(EXIT_INVALID, f"cannot write standard output: {exc.strerror or exc}")
-    else:
-        try:
+    try:
+        if options.output is None:
+            _write_stream(1, sys.stdout, rendered)
+        else:
             _write_report(options.output, rendered)
-        except OSError as exc:  # its filename may be the temporary, which the user never named
-            return _fail(EXIT_INVALID, f"cannot write {options.output}: {exc.strerror or exc}")
+    except OSError as exc:  # its filename may be the temporary, which the user never named
+        target = "standard output" if options.output is None else options.output
+        return _fail(EXIT_INVALID, f"cannot write {target}: {exc.strerror or exc}")
     return EXIT_OK
 
 

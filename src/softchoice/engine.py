@@ -27,6 +27,8 @@ from .neutrosophic import Triplet, mean
 
 @dataclass(frozen=True)
 class BinCell(Frozen):
+    """A crisp membership, 0 or 1; its table token is ``0`` or ``1``."""
+
     __slots__ = ("value",)
     value: int
 
@@ -37,6 +39,8 @@ class BinCell(Frozen):
 
 @dataclass(frozen=True)
 class GradeCell(Frozen):
+    """A grade label to map through a scale; its table token is the label, e.g. ``A``."""
+
     __slots__ = ("label",)
     label: str
 
@@ -47,6 +51,8 @@ class GradeCell(Frozen):
 
 @dataclass(frozen=True)
 class GreyCell(Frozen):
+    """An interval of membership; its table token is ``[lower;upper]``."""
+
     __slots__ = ("interval",)
     interval: GreyNumber
 
@@ -57,6 +63,8 @@ class GreyCell(Frozen):
 
 @dataclass(frozen=True)
 class NeutroCell(Frozen):
+    """A triplet of degrees; its table token is ``(truth;indeterminacy;falsity)``."""
+
     __slots__ = ("triplet",)
     triplet: Triplet
 

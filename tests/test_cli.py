@@ -2,6 +2,7 @@ import errno
 import gc
 import json
 import os
+import signal
 import stat
 import subprocess
 import sys
@@ -403,6 +404,25 @@ class TestOutputFile:
         assert code == 0
         assert capsys.readouterr() == ("", "")
 
+    def test_an_empty_path_fails_before_anything_is_created(self, docs, tmp_path, monkeypatch, capsys):
+        """``realpath("")`` is the working directory; nothing may be created beside it."""
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        created = []
+        real_open = os.open
+
+        def spy(path, flags, *args, **kwargs):
+            if flags & os.O_CREAT:
+                created.append(path)
+            return real_open(path, flags, *args, **kwargs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(os, "open", spy)
+            code = run_cli(["decide", "--input", docs["binary"], "--method", "binary", "--output", ""])
+        assert (code, capsys.readouterr().err) == (2, "error: cannot write : No such file or directory\n")
+        assert created == []
+
     @pytest.mark.parametrize("through_link", [False, True], ids=["direct", "symlink"])
     def test_replaced_report_keeps_its_mode(self, docs, tmp_path, capsys, through_link):
         target = tmp_path / "report.txt"
@@ -505,6 +525,43 @@ class TestUnwritableStandardOutput:
     def test_no_standard_output_stream(self, docs):
         child = _main_in_child(docs, subprocess.PIPE, before="import sys; sys.stdout = None; ")
         self._expect(child, errno.EBADF)
+
+
+class TestReportBytes:
+    """A report on standard output is UTF-8 and arrives whole, or the exit is 2 with one line."""
+
+    @pytest.mark.parametrize("encoding", ["ascii", "latin-1"])
+    def test_any_python_io_encoding_gets_utf_8(self, tmp_path, capsys, encoding):
+        table = tmp_path / "table.csv"
+        table.write_text(BINARY_DOC.replace("P1", "João"), encoding="utf-8")
+        assert run_cli(["decide", "--input", str(table), "--method", "binary"]) == 0
+        report = capsys.readouterr().out.encode("utf-8")
+        child = _main_in_child({"binary": str(table)}, subprocess.PIPE, PYTHONIOENCODING=encoding)
+        assert (child.returncode, child.stdout, child.stderr) == (0, report, b"")
+
+    def test_text_the_caller_wrote_first_stays_first(self, docs, capsys):
+        assert run_cli(["decide", "--input", docs["binary"], "--method", "binary"]) == 0
+        report = capsys.readouterr().out.encode("utf-8")
+        before = "import sys; sys.stdout.write('header\\n'); "  # held by the text layer when buffered
+        child = _main_in_child(docs, subprocess.PIPE, before=before, PYTHONUNBUFFERED="")
+        assert (child.returncode, child.stdout, child.stderr) == (0, b"header\n" + report, b"")
+
+    @pytest.mark.skipif(not hasattr(signal, "SIGXFSZ"), reason="no file size limit")
+    @pytest.mark.parametrize("output", [None, "/dev/stdout"], ids=["stdout", "output-dev-stdout"])
+    @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+    def test_a_file_size_limit_cuts_the_report_short(self, docs, tmp_path, output, unbuffered):
+        """A write takes the first 10 bytes only; the next one fails with ``EFBIG``."""
+        if output is not None and not os.path.exists(output):
+            pytest.skip(f"no {output}")
+        limit = (
+            "import softchoice.cli, resource, signal; signal.signal(signal.SIGXFSZ, signal.SIG_IGN); "
+            "resource.setrlimit(resource.RLIMIT_FSIZE, (10, 10)); "
+        )
+        options = () if output is None else ("--output", output)
+        with open(tmp_path / "report.txt", "wb") as handle:  # stderr is a pipe, which no limit cuts
+            child = _main_in_child(docs, handle, *options, before=limit, PYTHONUNBUFFERED=unbuffered)
+        message = f"error: cannot write {output or 'standard output'}: {os.strerror(errno.EFBIG)}\n"
+        assert (child.returncode, child.stderr) == (2, message.encode())
 
 
 class TestCollector:
