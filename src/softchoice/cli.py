@@ -81,8 +81,12 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _fail(code: int, message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
+def _fail(code: int, message: str, usage: str = "") -> int:
+    """Write ``usage`` and the error line to standard error; the exit code holds if that fails."""
+    try:
+        _write_stream(2, sys.stderr, f"{usage}error: {message}\n")
+    except OSError:  # the message is lost, not the code
+        pass
     return code
 
 
@@ -102,13 +106,16 @@ def _load(path: str, parse: Callable[..., Any]) -> Any:
 
 
 def _write_stream(fd: int, stream: Any, text: str) -> None:
-    """Write all of ``text`` to ``stream``, this process's descriptor ``fd``, as UTF-8."""
+    """Write all of ``text`` to ``stream``, this process's descriptor ``fd``, as UTF-8.
+
+    A lone surrogate, as in a path that is not UTF-8, is written as ``\\udcff``.
+    """
     try:
         if stream is None:  # the process started with the descriptor closed
             raise OSError(errno.EBADF, os.strerror(errno.EBADF))
         stream.flush()  # what the text layer holds goes first
         sink = getattr(stream, "buffer", stream)  # a StringIO takes the text itself
-        data = text if sink is stream else memoryview(text.encode("utf-8"))
+        data = text if sink is stream else memoryview(text.encode("utf-8", "backslashreplace"))
         while data:  # a raw binary layer may take part of a write
             if not (taken := sink.write(data)):  # None: a full non-blocking descriptor
                 raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
@@ -145,8 +152,7 @@ def _write_report(path: str, text: str) -> None:
         if same:
             return _write_stream(fd, stream, text)
     target = os.path.realpath(path)
-    directory, name = os.path.split(target)
-    temporary = os.path.join(directory, f".{name}.{os.urandom(6).hex()}.tmp")
+    temporary = os.path.join(os.path.dirname(target), f".{os.urandom(6).hex()}.tmp")
     descriptor = os.open(temporary, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with open(descriptor, "w", encoding="utf-8", newline="") as handle:
@@ -168,8 +174,7 @@ def run_cli(argv: Optional[Sequence[str]] = None) -> int:
     try:
         options = parser.parse_args(argv)
     except _UsageError as exc:
-        print(parser.format_usage(), end="", file=sys.stderr)
-        return _fail(EXIT_USAGE, str(exc))
+        return _fail(EXIT_USAGE, str(exc), usage=parser.format_usage())
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
 

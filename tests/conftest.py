@@ -1,6 +1,7 @@
 import pytest
 
-from softchoice.engine import BinCell, DecisionTable, GradeCell, NeutroCell
+from softchoice.engine import BinCell, DecisionTable, GradeCell, GreyCell, NeutroCell
+from softchoice.grey import GreyNumber
 from softchoice.neutrosophic import Triplet
 from softchoice.softset import SoftSet
 
@@ -139,3 +140,52 @@ def graded_table():
 @pytest.fixture
 def triplet_table():
     return _table(_TRIPLET_ROWS)
+
+
+@pytest.fixture
+def docs(tmp_path):
+    """Paths of the three worked tables and the built-in scale, written under ``tmp_path``."""
+    paths = {}
+    for name, doc in (
+        ("binary", BINARY_DOC), ("graded", GRADED_DOC),
+        ("triplet", TRIPLET_DOC), ("scale", DEFAULT_SCALE_DOC),
+    ):
+        path = tmp_path / f"{name}.csv"
+        path.write_text(doc, encoding="utf-8")
+        paths[name] = str(path)
+    return paths
+
+
+def random_triplet(rng):
+    return Triplet(rng.random(), rng.random(), rng.random())
+
+
+def random_interval(rng):
+    a, b = sorted((rng.random(), rng.random()))
+    return GreyNumber(a, b)
+
+
+def random_table(rng, method, max_rows=12, max_cols=8):
+    """A random table of cells that ``method`` accepts."""
+    rows = rng.randint(1, max_rows)
+    cols = rng.randint(1, max_cols)
+
+    def cell():
+        if method == "binary":
+            return BinCell(rng.randint(0, 1))
+        if method == "grey":
+            kind = rng.randrange(3)
+            if kind == 0:
+                return BinCell(rng.randint(0, 1))
+            if kind == 1:
+                return GradeCell(rng.choice("ABCDF"))
+            return GreyCell(random_interval(rng))
+        if rng.random() < 0.4:
+            return BinCell(rng.randint(0, 1))
+        return NeutroCell(random_triplet(rng))
+
+    return DecisionTable(
+        tuple(f"c{i}" for i in range(1, rows + 1)),
+        tuple(f"e{j}" for j in range(1, cols + 1)),
+        tuple(tuple(cell() for _ in range(cols)) for _ in range(rows)),
+    )

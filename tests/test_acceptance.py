@@ -13,9 +13,6 @@ from softchoice.cli import run_cli
 from softchoice.engine import (
     BinCell,
     DecisionTable,
-    GradeCell,
-    GreyCell,
-    NeutroCell,
     choice_values_binary,
     choice_values_grey,
     choice_values_neutrosophic,
@@ -25,7 +22,6 @@ from softchoice.engine import (
     rank_optimistic,
 )
 from softchoice.grades import default_scale
-from softchoice.grey import GreyNumber
 from softchoice.neutrosophic import Triplet, mean
 from softchoice.softset import SoftSet
 from softchoice.tableio import parse_table, write_table
@@ -37,6 +33,9 @@ from conftest import (
     GREY_SCORES,
     TRIPLET_DOC,
     TRIPLET_SCORES,
+    random_interval,
+    random_table,
+    random_triplet,
 )
 
 COMPONENTS = ("truth", "indeterminacy", "falsity")
@@ -44,50 +43,6 @@ COMPONENTS = ("truth", "indeterminacy", "falsity")
 
 def _passed(number, label):
     print(f"acceptance {number} ({label}): PASS")
-
-
-def _random_triplet(rng):
-    return Triplet(rng.random(), rng.random(), rng.random())
-
-
-def _random_interval(rng):
-    a, b = sorted((rng.random(), rng.random()))
-    return GreyNumber(a, b)
-
-
-def _random_bin_table(rng, max_rows=12, max_cols=8):
-    rows = rng.randint(1, max_rows)
-    cols = rng.randint(1, max_cols)
-    return DecisionTable(
-        tuple(f"c{i}" for i in range(1, rows + 1)),
-        tuple(f"e{j}" for j in range(1, cols + 1)),
-        tuple(tuple(BinCell(rng.randint(0, 1)) for _ in range(cols)) for _ in range(rows)),
-    )
-
-
-def _random_method_table(rng, method, max_rows=12, max_cols=8):
-    rows = rng.randint(1, max_rows)
-    cols = rng.randint(1, max_cols)
-
-    def cell():
-        if method == "binary":
-            return BinCell(rng.randint(0, 1))
-        if method == "grey":
-            kind = rng.randrange(3)
-            if kind == 0:
-                return BinCell(rng.randint(0, 1))
-            if kind == 1:
-                return GradeCell(rng.choice("ABCDF"))
-            return GreyCell(_random_interval(rng))
-        if rng.random() < 0.4:
-            return BinCell(rng.randint(0, 1))
-        return NeutroCell(_random_triplet(rng))
-
-    return DecisionTable(
-        tuple(f"c{i}" for i in range(1, rows + 1)),
-        tuple(f"e{j}" for j in range(1, cols + 1)),
-        tuple(tuple(cell() for _ in range(cols)) for _ in range(rows)),
-    )
 
 
 def _scores(method, table):
@@ -149,10 +104,10 @@ def test_c4_ranking_criteria_and_risk_note(triplet_table):
 
 def test_c5_algebra_property_suite():
     rng = random.Random(51)
-    for _ in range(1000):  # grey addition laws and midpoint homomorphisms
-        a = _random_interval(rng)
-        b = _random_interval(rng)
-        c = _random_interval(rng)
+    for _ in range(1000):  # grey addition laws, midpoint homomorphisms and width scaling
+        a = random_interval(rng)
+        b = random_interval(rng)
+        c = random_interval(rng)
         k = rng.uniform(1e-3, 10.0)
         assert a + b == b + a
         left, right = (a + b) + c, a + (b + c)
@@ -160,9 +115,10 @@ def test_c5_algebra_property_suite():
         assert abs(left.upper - right.upper) <= 1e-12
         assert abs((a + b).midpoint() - (a.midpoint() + b.midpoint())) <= 1e-12
         assert abs(a.scale(k).midpoint() - k * a.midpoint()) <= 1e-12
+        assert abs(a.scale(k).width() - k * a.width()) <= 1e-12
     for _ in range(1000):  # triplet mean laws
         items = [
-            (_random_triplet(rng), rng.randint(1, 10))
+            (random_triplet(rng), rng.randint(1, 10))
             for _ in range(rng.randint(1, 6))
         ]
         value = mean(items)
@@ -170,7 +126,7 @@ def test_c5_algebra_property_suite():
             degrees = [getattr(triplet, name) for triplet, _ in items]
             assert min(degrees) <= getattr(value, name) <= max(degrees)
 
-        same = _random_triplet(rng)
+        same = random_triplet(rng)
         copies = [(same, rng.randint(1, 10)) for _ in range(rng.randint(1, 4))]
         assert mean(copies) == same  # idempotence on identical inputs
 
@@ -189,7 +145,7 @@ def test_c6_embedding_consistency_suite():
     rng = random.Random(62)
     scale = default_scale()
     for _ in range(200):
-        table = _random_bin_table(rng)
+        table = random_table(rng, "binary")
         binary = choice_values_binary(table)
         assert choice_values_grey(table, scale) == binary
         cols = len(table.parameters)
@@ -210,7 +166,7 @@ def test_c7_equivariance_suite():
     tolerances = {"binary": 0.0, "grey": 1e-12, "neutrosophic": 0.0}
     for index in range(200):
         method = ("binary", "grey", "neutrosophic")[index % 3]
-        table = _random_method_table(rng, method)
+        table = random_table(rng, method)
         scores = _scores(method, table)
 
         row_order = rng.sample(range(len(table.candidates)), len(table.candidates))
@@ -276,7 +232,7 @@ def test_c8_soft_set_suite():
     _passed(8, "soft-set suite, 200 round-trips and 200 membership maps")
 
 
-def test_c9_io_and_cli_suite(tmp_path, capsys):
+def test_c9_io_and_cli_suite(tmp_path, capsys, docs):
     # parse and byte-stable round-trip of the three worked documents
     for doc in (BINARY_DOC, GRADED_DOC, TRIPLET_DOC):
         table = parse_table(doc)
@@ -284,29 +240,23 @@ def test_c9_io_and_cli_suite(tmp_path, capsys):
         assert parse_table(once) == table
         assert write_table(parse_table(once)) == once
 
-    paths = {}
-    for name, doc in (("binary", BINARY_DOC), ("graded", GRADED_DOC), ("triplet", TRIPLET_DOC)):
-        path = tmp_path / f"{name}.csv"
-        path.write_text(doc, encoding="utf-8")
-        paths[name] = str(path)
-
     # end-to-end winners of the worked examples
-    assert run_cli(["decide", "--input", paths["binary"], "--method", "binary"]) == 0
+    assert run_cli(["decide", "--input", docs["binary"], "--method", "binary"]) == 0
     assert "winners: P2 P3 P5 P6" in capsys.readouterr().out
-    assert run_cli(["decide", "--input", paths["graded"], "--method", "grey"]) == 0
+    assert run_cli(["decide", "--input", docs["graded"], "--method", "grey"]) == 0
     assert "winners: P3" in capsys.readouterr().out
     assert run_cli([
-        "decide", "--input", paths["triplet"], "--method", "neutrosophic",
+        "decide", "--input", docs["triplet"], "--method", "neutrosophic",
         "--criterion", "optimistic",
     ]) == 0
     assert "winners: P3 P5" in capsys.readouterr().out
     assert run_cli([
-        "decide", "--input", paths["triplet"], "--method", "neutrosophic",
+        "decide", "--input", docs["triplet"], "--method", "neutrosophic",
         "--criterion", "conservative",
     ]) == 0
     assert "winners: P3" in capsys.readouterr().out
     assert run_cli([
-        "decide", "--input", paths["triplet"], "--method", "neutrosophic",
+        "decide", "--input", docs["triplet"], "--method", "neutrosophic",
         "--format", "json",
     ]) == 0
     document = json.loads(capsys.readouterr().out)
@@ -316,7 +266,7 @@ def test_c9_io_and_cli_suite(tmp_path, capsys):
     # documented error paths and their exit codes
     assert run_cli(["decide", "--method", "binary"]) == 1  # usage
     assert run_cli([
-        "decide", "--input", paths["binary"], "--method", "binary",
+        "decide", "--input", docs["binary"], "--method", "binary",
         "--criterion", "combined",
     ]) == 1
     capsys.readouterr()
@@ -327,7 +277,7 @@ def test_c9_io_and_cli_suite(tmp_path, capsys):
     assert run_cli(["decide", "--input", str(tmp_path / "missing.csv"), "--method", "binary"]) == 2
     capsys.readouterr()
 
-    assert run_cli(["decide", "--input", paths["graded"], "--method", "neutrosophic"]) == 3
+    assert run_cli(["decide", "--input", docs["graded"], "--method", "neutrosophic"]) == 3
     err = capsys.readouterr().err
     assert "(P1, e4)" in err and "grade 'C'" in err
     _passed(9, "input/output and command-line suite")

@@ -20,21 +20,6 @@ from softchoice.cli import run_cli
 from conftest import BINARY_DOC, DEFAULT_SCALE_DOC, GRADED_DOC, TRIPLET_DOC
 
 
-@pytest.fixture
-def docs(tmp_path):
-    paths = {}
-    for name, doc in (
-        ("binary", BINARY_DOC),
-        ("graded", GRADED_DOC),
-        ("triplet", TRIPLET_DOC),
-        ("scale", DEFAULT_SCALE_DOC),
-    ):
-        path = tmp_path / f"{name}.csv"
-        path.write_text(doc, encoding="utf-8")
-        paths[name] = str(path)
-    return paths
-
-
 class TestHappyPaths:
     def test_binary_decision(self, docs, capsys):
         code = run_cli(["decide", "--input", docs["binary"], "--method", "binary"])
@@ -395,6 +380,17 @@ class TestOutputFile:
             2, f"error: cannot write {target}: No such file or directory\n",
         )
 
+    def test_a_name_of_250_bytes_is_written(self, docs, tmp_path, capsys):
+        """The temporary beside the target is named by random bytes, not after the target, so it fits."""
+        if os.pathconf(tmp_path, "PC_NAME_MAX") < 255:
+            pytest.skip("file names are shorter here")
+        target = tmp_path / ("r" * 246 + ".txt")
+        argv = ["decide", "--input", docs["binary"], "--method", "binary"]
+        assert run_cli(argv) == 0
+        expected = capsys.readouterr().out
+        assert run_cli([*argv, "--output", str(target)]) == 0
+        assert target.read_text(encoding="utf-8") == expected
+
     @pytest.mark.skipif(not os.path.exists(os.devnull), reason="no null device")
     def test_device_target_is_written_in_place(self, docs, capsys):
         code = run_cli([
@@ -442,15 +438,34 @@ class TestOutputFile:
         assert stat.S_IMODE(os.stat(target).st_mode) == 0o600
 
 
-def _main_in_child(docs, stdout, *options, before="", **environ):
+def _main_in_child(docs, stdout, *options, before="", stderr=subprocess.PIPE, **environ):
     """Run ``main`` on the binary table in a child that first executes ``before``."""
     env = dict(os.environ, PYTHONPATH=str(Path(softchoice.__file__).parent.parent), **environ)
     argv = ["decide", "--input", docs["binary"], "--method", "binary", *options]
     probe = f"{before}from softchoice.cli import main; main()"
     return subprocess.run(
         [sys.executable, "-c", probe, *argv],
-        stdout=stdout, stderr=subprocess.PIPE, env=env, timeout=60,
+        stdout=stdout, stderr=stderr, env=env, timeout=60,
     )
+
+
+@pytest.mark.parametrize("state", ["closed", "full", "none"])
+def test_an_unwritable_standard_error_keeps_the_exit_code(docs, tmp_path, state):
+    """The error line is lost, but not the exit code, and nothing reaches standard output."""
+    if state == "full" and not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full")
+    before = {"closed": "import os; os.close(2); ", "none": "import sys; sys.stderr = None; "}
+    cases = [  # input given as the binary table, extra options, exit code
+        (str(tmp_path / "missing.csv"), (), 2),
+        (docs["graded"], (), 3),
+        (docs["binary"], ("--method", "x"), 1),
+    ]
+    with open("/dev/full" if state == "full" else os.devnull, "wb") as stderr:
+        for table, options, code in cases:
+            child = _main_in_child(
+                {"binary": table}, subprocess.PIPE, *options, before=before.get(state, ""), stderr=stderr,
+            )
+            assert (child.returncode, child.stdout) == (code, b"")
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="no /dev/stdout")
@@ -611,7 +626,7 @@ class TestModuleEntryPoint:
         assert (child.returncode, child.stdout, child.stderr) == (0, expected, "")
 
 
-def test_importing_the_cli_loads_no_exact_arithmetic_modules(tmp_path):
+def test_importing_the_cli_loads_no_exact_arithmetic_modules(docs):
     """``fractions`` and ``decimal`` cost milliseconds of every run's start; none is needed.
 
     A run of each method then loads nothing outside the standard library and
@@ -628,13 +643,9 @@ def test_importing_the_cli_loads_no_exact_arithmetic_modules(tmp_path):
         "loaded = {name.partition('.')[0] for name in set(sys.modules) - bare}\n"
         "print('|', *sorted(loaded - set(sys.stdlib_module_names) - {'softchoice'}))\n"
     )
-    paths = []
-    for name, doc in (("binary", BINARY_DOC), ("graded", GRADED_DOC), ("triplet", TRIPLET_DOC)):
-        paths.append(tmp_path / f"{name}.csv")
-        paths[-1].write_text(doc, encoding="utf-8")
     env = dict(os.environ, PYTHONPATH=str(Path(softchoice.__file__).parent.parent))
     child = subprocess.run(
-        [sys.executable, "-c", probe, *map(str, paths)],
+        [sys.executable, "-c", probe, docs["binary"], docs["graded"], docs["triplet"]],
         capture_output=True, text=True, env=env, timeout=60,
     )
     assert child.returncode == 0, child.stderr
