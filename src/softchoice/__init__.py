@@ -28,7 +28,6 @@ from .neutrosophic import (
     classify_information,
     mean,
 )
-from .softset import SoftSet
 from .tableio import (
     ParseError,
     parse_cell,
@@ -84,9 +83,13 @@ __all__ = [
 
 
 def __getattr__(name):
-    # The CLI loads on first use, so ``python -m softchoice.cli`` runs it as
-    # __main__ without an earlier import, and argparse stays out of ``import softchoice``.
+    # The CLI and ``SoftSet`` load on first use: ``python -m softchoice.cli`` runs the CLI as
+    # __main__ without an earlier import, argparse stays out of ``import softchoice``, and
+    # no CLI run imports ``SoftSet``.
     if name == "run_cli":
         from .cli import run_cli
         return run_cli
+    if name == "SoftSet":
+        from .softset import SoftSet
+        return SoftSet
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

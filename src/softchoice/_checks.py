@@ -11,18 +11,33 @@ FLOAT_MAX = sys.float_info.max
 
 
 class Frozen:
-    """Base of the frozen dataclasses that write their ``__slots__`` by hand.
+    """Base of the frozen value and cell classes, which write their ``__slots__`` by hand.
 
-    ``dataclass(slots=True)`` rebuilds the class, and on Python 3.11 the rebuilt
-    class's frozen ``__setattr__`` raises ``TypeError`` for a new name. The frozen
-    ``__setattr__`` also refuses the default restore of slots, so instances pickle
-    and copy through their constructor, which runs its checks again.
+    Each is a ``dataclass(init=False, repr=False, eq=False)`` with a checking ``__init__``, and
+    has here the methods a frozen dataclass would generate, over its ``__match_args__`` fields.
+    It pickles and copies through its constructor, which runs the checks again.
     """
 
     __slots__ = ()
 
-    def __reduce__(self):
-        return type(self), tuple(getattr(self, f.name) for f in dataclasses.fields(self))
+    def __reduce__(self):  # the class and the field values, which == and hash compare too
+        return type(self), tuple(getattr(self, name) for name in self.__match_args__)
+
+    def __eq__(self, other):  # of the same class only, so no Triplet equals an accumulator
+        return self.__reduce__() == other.__reduce__() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(self.__reduce__()[1])
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise dataclasses.FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise dataclasses.FrozenInstanceError(f"cannot delete field {name!r}")
 
 
 def checked_real(

@@ -38,6 +38,9 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(message)
 
+    def print_help(self, file=None):  # as a report: all of it reaches standard output, or OSError
+        _write_stream(1, sys.stdout, self.format_help())
+
 
 def build_parser() -> _Parser:
     parser = _Parser(
@@ -177,6 +180,8 @@ def run_cli(argv: Optional[Sequence[str]] = None) -> int:
         return _fail(EXIT_USAGE, str(exc), usage=parser.format_usage())
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
+    except OSError as exc:  # --help to an unwritable standard output
+        return _fail(EXIT_INVALID, f"cannot write standard output: {exc.strerror or exc}")
 
     try:
         checked_real(options.epsilon, "--epsilon", low=0.0, strict=True)

@@ -25,52 +25,56 @@ from .grey import GreyNumber
 from .neutrosophic import Triplet, mean
 
 
-@dataclass(frozen=True)
+@dataclass(init=False, repr=False, eq=False)
 class BinCell(Frozen):
     """A crisp membership, 0 or 1; its table token is ``0`` or ``1``."""
 
     __slots__ = ("value",)
     value: int
 
-    def __post_init__(self) -> None:
-        if isinstance(self.value, bool) or self.value not in (0, 1):
-            raise ValueError(f"binary cells hold 0 or 1, got {self.value!r}")
+    def __init__(self, value: int) -> None:
+        if isinstance(value, bool) or value not in (0, 1):
+            raise ValueError(f"binary cells hold 0 or 1, got {value!r}")
+        object.__setattr__(self, "value", value)
 
 
-@dataclass(frozen=True)
+@dataclass(init=False, repr=False, eq=False)
 class GradeCell(Frozen):
     """A grade label to map through a scale; its table token is the label, e.g. ``A``."""
 
     __slots__ = ("label",)
     label: str
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.label, str) or not self.label:
-            raise ValueError(f"grade cells hold a non-empty label, got {self.label!r}")
+    def __init__(self, label: str) -> None:
+        if not isinstance(label, str) or not label:
+            raise ValueError(f"grade cells hold a non-empty label, got {label!r}")
+        object.__setattr__(self, "label", label)
 
 
-@dataclass(frozen=True)
+@dataclass(init=False, repr=False, eq=False)
 class GreyCell(Frozen):
     """An interval of membership; its table token is ``[lower;upper]``."""
 
     __slots__ = ("interval",)
     interval: GreyNumber
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.interval, GreyNumber):
-            raise TypeError(f"grey cells hold a GreyNumber, got {type(self.interval).__name__}")
+    def __init__(self, interval: GreyNumber) -> None:
+        if not isinstance(interval, GreyNumber):
+            raise TypeError(f"grey cells hold a GreyNumber, got {type(interval).__name__}")
+        object.__setattr__(self, "interval", interval)
 
 
-@dataclass(frozen=True)
+@dataclass(init=False, repr=False, eq=False)
 class NeutroCell(Frozen):
     """A triplet of degrees; its table token is ``(truth;indeterminacy;falsity)``."""
 
     __slots__ = ("triplet",)
     triplet: Triplet
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.triplet, Triplet):
-            raise TypeError(f"neutrosophic cells hold a Triplet, got {type(self.triplet).__name__}")
+    def __init__(self, triplet: Triplet) -> None:
+        if not isinstance(triplet, Triplet):
+            raise TypeError(f"neutrosophic cells hold a Triplet, got {type(triplet).__name__}")
+        object.__setattr__(self, "triplet", triplet)
 
 
 Cell = Union[BinCell, GradeCell, GreyCell, NeutroCell]

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from ._checks import FLOAT_MAX, Frozen, checked_real
 
 
-@dataclass(frozen=True)
+@dataclass(init=False, repr=False, eq=False)
 class GreyNumber(Frozen):
     """A real number known only to lie in the closed interval [lower, upper].
 
@@ -21,14 +21,13 @@ class GreyNumber(Frozen):
     lower: float
     upper: float
 
-    def __post_init__(self) -> None:
-        lower, upper = self.lower, self.upper
-        if type(lower) is float and type(upper) is float and -FLOAT_MAX <= lower <= upper <= FLOAT_MAX:
-            return  # finite, ordered exact floats: what the checks below would keep as they are
-        lower = checked_real(lower, "lower endpoint")
-        upper = checked_real(upper, "upper endpoint")
-        if lower > upper:
-            raise ValueError(f"invalid interval: lower {lower!r} > upper {upper!r}")
+    def __init__(self, lower: float, upper: float) -> None:
+        # Finite, ordered exact floats are what the checks would keep as they are.
+        if not (type(lower) is type(upper) is float and -FLOAT_MAX <= lower <= upper <= FLOAT_MAX):
+            lower = checked_real(lower, "lower endpoint")
+            upper = checked_real(upper, "upper endpoint")
+            if lower > upper:
+                raise ValueError(f"invalid interval: lower {lower!r} > upper {upper!r}")
         object.__setattr__(self, "lower", lower)
         object.__setattr__(self, "upper", upper)
 

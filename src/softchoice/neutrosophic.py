@@ -16,7 +16,7 @@ from typing import Iterable, Tuple
 from ._checks import FLOAT_MAX, Frozen, checked_real
 
 
-@dataclass(frozen=True)
+@dataclass(init=False, repr=False, eq=False)
 class TripletAccumulator(Frozen):
     """Componentwise sums and scalings of triplets; nonnegative, bounded above only by ``_high``."""
 
@@ -28,16 +28,18 @@ class TripletAccumulator(Frozen):
     _high = None
     _labels = ("truth component", "indeterminacy component", "falsity component")
 
-    def __post_init__(self) -> None:
+    def __init__(self, truth: float, indeterminacy: float, falsity: float) -> None:
         high = FLOAT_MAX if self._high is None else self._high
-        truth, indeterminacy, falsity = self.truth, self.indeterminacy, self.falsity
-        if type(truth) is type(indeterminacy) is type(falsity) is float and (
+        if not (type(truth) is type(indeterminacy) is type(falsity) is float and (
             0.0 <= truth <= high and 0.0 <= indeterminacy <= high and 0.0 <= falsity <= high
-        ):
-            return  # exact floats in [0, high]: what the checks below would keep as they are
-        for name, label in zip(("truth", "indeterminacy", "falsity"), self._labels):
-            value = checked_real(getattr(self, name), label, low=0.0, high=self._high)
-            object.__setattr__(self, name, value)
+        )):  # exact floats in [0, high] are what the checks would keep as they are
+            truth, indeterminacy, falsity = (
+                checked_real(value, label, low=0.0, high=self._high)
+                for value, label in zip((truth, indeterminacy, falsity), self._labels)
+            )
+        object.__setattr__(self, "truth", truth)
+        object.__setattr__(self, "indeterminacy", indeterminacy)
+        object.__setattr__(self, "falsity", falsity)
 
     def __str__(self) -> str:
         """The table token, ``(truth;indeterminacy;falsity)``; a boxed one re-parses exactly."""

@@ -23,7 +23,6 @@ output always uses LF.
 
 from __future__ import annotations
 
-import json
 import re
 from typing import Optional
 
@@ -285,4 +284,5 @@ def render_report_text(report: DecisionReport) -> str:
 
 def render_report_json(report: DecisionReport) -> str:
     """JSON report mirroring the text rendering field for field."""
+    import json  # here, so that a text report never loads it
     return json.dumps(_report_document(report), indent=2, ensure_ascii=False) + "\n"

@@ -520,10 +520,11 @@ class TestUnwritableStandardOutput:
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
     @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
     def test_a_full_device(self, docs, unbuffered):
-        """Buffered output fails only at the flush, unbuffered output at the write."""
-        with open("/dev/full", "wb") as full:
-            child = _main_in_child(docs, full, PYTHONUNBUFFERED=unbuffered)
-        self._expect(child, errno.ENOSPC)
+        """Buffered output fails only at the flush, unbuffered output at the write; help as a report."""
+        for options in ((), ("--help",)):
+            with open("/dev/full", "wb") as full:
+                child = _main_in_child(docs, full, *options, PYTHONUNBUFFERED=unbuffered)
+            self._expect(child, errno.ENOSPC)
 
     def test_a_pipe_whose_reader_has_gone(self, docs):
         read_end, write_end = os.pipe()
@@ -534,8 +535,10 @@ class TestUnwritableStandardOutput:
             os.close(write_end)
 
     def test_a_descriptor_closed_before_main(self, docs):
-        child = _main_in_child(docs, subprocess.PIPE, before="import os; os.close(1); ")
-        self._expect(child, errno.EBADF)
+        """Help, too, goes nowhere else, such as to standard error."""
+        for options in ((), ("--help",)):
+            child = _main_in_child(docs, subprocess.PIPE, *options, before="import os; os.close(1); ")
+            self._expect(child, errno.EBADF)
 
     def test_no_standard_output_stream(self, docs):
         child = _main_in_child(docs, subprocess.PIPE, before="import sys; sys.stdout = None; ")
@@ -629,34 +632,36 @@ class TestModuleEntryPoint:
 def test_importing_the_cli_loads_no_exact_arithmetic_modules(docs):
     """``fractions`` and ``decimal`` cost milliseconds of every run's start; none is needed.
 
-    A run of each method then loads nothing outside the standard library and
-    softchoice itself, because the package has no runtime dependencies.
+    Nor is ``json`` for a text report, or the soft-set module, which every run
+    would compile on a host without a bytecode cache, as this child has; the
+    package loads ``SoftSet`` on first use. A run of each method then loads
+    nothing outside the standard library and softchoice itself, because the
+    package has no runtime dependencies.
     """
+    names = ("fractions", "decimal", "json", "softchoice.softset")
     probe = (
         "import sys\n"
         "bare = set(sys.modules)\n"
         "import softchoice.cli\n"
-        "print(*(f'{name}:{name in bare}:{name in sys.modules}' for name in ('fractions', 'decimal')))\n"
+        f"print(*(f'{{name}}:{{name in bare}}:{{name in sys.modules}}' for name in {names}))\n"
+        "print(softchoice.SoftSet is softchoice.softset.SoftSet)\n"
         "for method, path in zip(('binary', 'grey', 'neutrosophic'), sys.argv[1:]):\n"
         "    argv = ['decide', '--input', path, '--method', method, '--output', path + '.out']\n"
         "    print(softchoice.cli.run_cli(argv), end=' ')\n"
         "loaded = {name.partition('.')[0] for name in set(sys.modules) - bare}\n"
         "print('|', *sorted(loaded - set(sys.stdlib_module_names) - {'softchoice'}))\n"
     )
-    env = dict(os.environ, PYTHONPATH=str(Path(softchoice.__file__).parent.parent))
+    env = dict(os.environ, PYTHONPATH=str(Path(softchoice.__file__).parent.parent), PYTHONDONTWRITEBYTECODE="1")
     child = subprocess.run(
         [sys.executable, "-c", probe, docs["binary"], docs["graded"], docs["triplet"]],
         capture_output=True, text=True, env=env, timeout=60,
     )
     assert child.returncode == 0, child.stderr
-    imports, runs = child.stdout.splitlines()
+    imports, same, runs = child.stdout.splitlines()
     codes, _, foreign = runs.partition("|")
-    assert (codes.split(), foreign.split()) == (["0", "0", "0"], [])
+    assert (same, codes.split(), foreign.split()) == ("True", ["0", "0", "0"], [])
     states = [field.split(":") for field in imports.split()]
-    watched = [(name, loaded) for name, bare, loaded in states if bare == "False"]
-    if not watched:
-        pytest.skip("the bare interpreter already loads fractions and decimal")
-    assert [name for name, loaded in watched if loaded == "True"] == []
+    assert [name for name, bare, loaded in states if (bare, loaded) == ("False", "True")] == []
 
 
 # Cell tokens by the methods that accept them, with malformed and extreme ones

@@ -87,8 +87,31 @@ _EXAMPLES = (
 )
 
 
+# The repr that a generated frozen dataclass ``__repr__`` gave each example, keyed by an
+# equal value built apart, so that a lookup also needs equal values to hash equal.
+_SHOWN = {
+    BinCell(1): "BinCell(value=1)",
+    GradeCell("good_2"): "GradeCell(label='good_2')",
+    GreyCell(GreyNumber(0.25, 0.5)): "GreyCell(interval=GreyNumber(lower=0.25, upper=0.5))",
+    NeutroCell(Triplet(0.5, 0.25, 0.125)):
+        "NeutroCell(triplet=Triplet(truth=0.5, indeterminacy=0.25, falsity=0.125))",
+    GreyNumber(-1.5, 2.0): "GreyNumber(lower=-1.5, upper=2.0)",
+    TripletAccumulator(0.1, 2.0, 3.0): "TripletAccumulator(truth=0.1, indeterminacy=2.0, falsity=3.0)",
+    Triplet(0.1, 0.2, 0.3): "Triplet(truth=0.1, indeterminacy=0.2, falsity=0.3)",
+    TripletAccumulator(1.5, 0.0, 7.25): "TripletAccumulator(truth=1.5, indeterminacy=0.0, falsity=7.25)",
+}
+
+
 @pytest.mark.parametrize("value", _EXAMPLES, ids=lambda value: type(value).__name__)
 class TestFrozenSlottedContract:
+    def test_repr_hash_and_equality_are_the_generated_ones(self, value):
+        """As a frozen dataclass generated them: over the fields, equal within one class only."""
+        assert repr(value) == _SHOWN[value]
+        assert hash(value) == hash(tuple(getattr(value, field.name) for field in dataclasses.fields(value)))
+        if type(value) is Triplet:
+            accumulator = TripletAccumulator(*dataclasses.astuple(value))
+            assert accumulator != value and value != accumulator
+
     def test_pickle_copy_and_replace_round_trip(self, value):
         copies = [pickle.loads(pickle.dumps(value, protocol))
                   for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
