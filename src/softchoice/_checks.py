@@ -11,7 +11,7 @@ FLOAT_MAX = sys.float_info.max
 
 
 class Frozen:
-    """Base of the frozen value and cell classes, which write their ``__slots__`` by hand.
+    """Base of every frozen class: values, cells, tables, reports, scales and soft sets.
 
     Each is a ``dataclass(init=False, repr=False, eq=False)`` with a checking ``__init__``, and
     has here the methods a frozen dataclass would generate, over its ``__match_args__`` fields.

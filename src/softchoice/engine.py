@@ -15,7 +15,7 @@ from __future__ import annotations
 import enum
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import attrgetter, itemgetter
 from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional, Tuple, Union
 
@@ -116,25 +116,26 @@ class Criterion(enum.Enum):
     COMBINED = "combined"
 
 
-@dataclass(frozen=True)
-class DecisionTable:
+@dataclass(init=False, repr=False, eq=False)
+class DecisionTable(Frozen):
     """Candidates by parameters cell matrix; at least one of each, all unique.
 
     Every cell is exactly one of the four cell classes; a soft set's tabular
     form is the case where every cell is a BinCell.
     """
 
+    __slots__ = ("candidates", "parameters", "cells")
     candidates: tuple
     parameters: tuple
     cells: tuple
 
-    def __post_init__(self) -> None:
-        candidates = checked_ids(self.candidates, "candidate")
-        parameters = checked_ids(self.parameters, "parameter")
+    def __init__(self, candidates: tuple, parameters: tuple, cells: tuple) -> None:
+        candidates = checked_ids(candidates, "candidate")
+        parameters = checked_ids(parameters, "parameter")
         for kind, ids in (("candidate", candidates), ("parameter", parameters)):
             if not ids:
                 raise ValueError(f"a decision table needs at least one {kind}")
-        cells = tuple(tuple(row) for row in self.cells)
+        cells = tuple(tuple(row) for row in cells)
         if len(cells) != len(candidates):
             raise ValueError(f"expected {len(candidates)} cell rows, got {len(cells)}")
         for candidate, row in zip(candidates, cells):
@@ -155,16 +156,33 @@ class DecisionTable:
         return self.cells[self.candidates.index(candidate)][self.parameters.index(parameter)]
 
 
-@dataclass(frozen=True)
-class DecisionReport:
+@dataclass(init=False, repr=False, eq=False)
+class DecisionReport(Frozen):
     """Outcome of one method run: scores, winners and any commentary."""
 
+    __slots__ = ("method", "scores", "winners", "criterion", "risk_notes", "notes")
     method: Method
     scores: Mapping[str, Score]
     winners: tuple
-    criterion: Optional[Criterion] = None
-    risk_notes: Mapping[str, str] = field(default_factory=dict)
-    notes: tuple = ()
+    criterion: Optional[Criterion]
+    risk_notes: Mapping[str, str]
+    notes: tuple
+
+    def __init__(
+        self,
+        method: Method,
+        scores: Mapping[str, Score],
+        winners: tuple,
+        criterion: Optional[Criterion] = None,
+        risk_notes: Optional[Mapping[str, str]] = None,  # None: a new, empty dict
+        notes: tuple = (),
+    ) -> None:
+        object.__setattr__(self, "method", method)
+        object.__setattr__(self, "scores", scores)
+        object.__setattr__(self, "winners", winners)
+        object.__setattr__(self, "criterion", criterion)
+        object.__setattr__(self, "risk_notes", {} if risk_notes is None else risk_notes)
+        object.__setattr__(self, "notes", notes)
 
 
 _VALUE = attrgetter("value")

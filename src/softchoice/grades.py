@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
+from ._checks import Frozen
 from .grey import GreyNumber
 
 
@@ -30,8 +31,8 @@ class ScaleValidationError(ValueError):
         super().__init__("invalid grade scale: " + "; ".join(self.violations))
 
 
-@dataclass(frozen=True)
-class GradeScale:
+@dataclass(init=False, repr=False, eq=False)
+class GradeScale(Frozen):
     """Ordered (label, interval) entries, best grade first.
 
     Construction only checks shape; :meth:`validate` reports the semantic
@@ -41,10 +42,11 @@ class GradeScale:
     the first problem.
     """
 
+    __slots__ = ("entries", "_index")
     entries: Tuple[Tuple[str, GreyNumber], ...]
 
-    def __post_init__(self) -> None:
-        entries = tuple(tuple(entry) for entry in self.entries)
+    def __init__(self, entries: Tuple[Tuple[str, GreyNumber], ...]) -> None:
+        entries = tuple(tuple(entry) for entry in entries)
         if not entries:
             raise ValueError("a grade scale needs at least one entry")
         for entry in entries:
@@ -56,7 +58,8 @@ class GradeScale:
             if not isinstance(interval, GreyNumber):
                 raise TypeError(f"grade {label!r} must map to a GreyNumber, got {type(interval).__name__}")
         object.__setattr__(self, "entries", entries)
-        # Not a field, so == and repr see only the entries; a repeated label finds its first entry.
+        # A slot but not a field, so ==, hash, repr and pickle see only the entries; a repeated
+        # label finds its first entry.
         object.__setattr__(self, "_index", dict(reversed(entries)))
 
     @property

@@ -5,14 +5,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from ._checks import checked_ids, checked_real
+from ._checks import Frozen, checked_ids, checked_real
 from .engine import BinCell, DecisionTable
 
 _BINARY = (BinCell(0), BinCell(1))  # cells are frozen, so every tabulated 0 or 1 shares one
 
 
-@dataclass(frozen=True)
-class SoftSet:
+@dataclass(init=False, repr=False, eq=False)
+class SoftSet(Frozen):
     """Maps each parameter to the subset of the universe that satisfies it.
 
     Universe and parameter lists are ordered so the tabular form is
@@ -22,15 +22,16 @@ class SoftSet:
     ``decide(soft.tabulate(), "binary")`` gives its choice values.
     """
 
+    __slots__ = ("universe", "parameters", "value_sets")
     universe: tuple
     parameters: tuple
     value_sets: Mapping[str, frozenset]
 
-    def __post_init__(self) -> None:
-        universe = checked_ids(self.universe, "universe")
-        parameters = checked_ids(self.parameters, "parameter")
+    def __init__(self, universe: tuple, parameters: tuple, value_sets: Mapping[str, frozenset]) -> None:
+        universe = checked_ids(universe, "universe")
+        parameters = checked_ids(parameters, "parameter")
         members = set(universe)
-        raw = dict(self.value_sets)
+        raw = dict(value_sets)
         unknown = sorted(map(str, set(raw).difference(parameters)))
         if unknown:
             raise ValueError(f"value sets given for unknown parameters: {', '.join(unknown)}")

@@ -165,10 +165,10 @@ def random_interval(rng):
     return GreyNumber(a, b)
 
 
-def random_table(rng, method, max_rows=12, max_cols=8):
+def random_table(rng, method):
     """A random table of cells that ``method`` accepts."""
-    rows = rng.randint(1, max_rows)
-    cols = rng.randint(1, max_cols)
+    rows = rng.randint(1, 12)
+    cols = rng.randint(1, 8)
 
     def cell():
         if method == "binary":

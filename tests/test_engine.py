@@ -28,7 +28,7 @@ from softchoice.grey import GreyNumber
 from softchoice.neutrosophic import Triplet
 from softchoice.tableio import render_report_json, render_report_text
 
-from conftest import BINARY_SCORES, GREY_SCORES, TRIPLET_SCORES, random_table, random_triplet
+from conftest import BINARY_SCORES, GREY_SCORES, TRIPLET_SCORES, random_triplet
 
 
 def assert_triplet_close(actual, expected, abs_tol=1e-9):
@@ -127,12 +127,6 @@ class TestRanking:
 
     def test_combined_intersects_the_two(self, player_scores):
         assert rank_combined(player_scores) == ["P3"]
-
-    def test_single_candidate_wins_everything(self):
-        scores = {"only": Triplet(0.5, 0.5, 0.5)}
-        assert rank_optimistic(scores) == ["only"]
-        assert rank_conservative(scores) == ["only"]
-        assert rank_combined(scores) == ["only"]
 
     def test_distinct_truths_give_a_singleton_argmax(self):
         rng = random.Random(303)
@@ -238,36 +232,6 @@ class TestDecide:
 
     def test_reports_are_deterministic(self, triplet_table):
         assert decide(triplet_table, "neutrosophic") == decide(triplet_table, "neutrosophic")
-
-
-class TestStructuralProperties:
-    def test_candidate_permutation_permutes_scores(self, graded_table):
-        order = [3, 0, 5, 1, 4, 2]
-        permuted = DecisionTable(
-            tuple(graded_table.candidates[i] for i in order),
-            graded_table.parameters,
-            tuple(graded_table.cells[i] for i in order),
-        )
-        original = choice_values_grey(graded_table, default_scale())
-        shuffled = choice_values_grey(permuted, default_scale())
-        assert shuffled == original
-        assert list(shuffled) == [graded_table.candidates[i] for i in order]
-
-    def test_grey_scores_bounded_by_parameter_count(self):
-        rng = random.Random(505)
-        scale = default_scale()
-        for _ in range(30):
-            table = random_table(rng, "grey", max_rows=8, max_cols=6)
-            for value in choice_values_grey(table, scale).values():
-                assert 0.0 <= value <= len(table.parameters) + 1e-12
-
-    def test_neutrosophic_scores_stay_in_the_box(self):
-        rng = random.Random(606)
-        for _ in range(30):
-            table = random_table(rng, "neutrosophic", max_rows=8, max_cols=6)
-            for score in choice_values_neutrosophic(table).values():
-                for component in (score.truth, score.indeterminacy, score.falsity):
-                    assert 0.0 <= component <= 1.0
 
 
 class TestTableConstruction:
