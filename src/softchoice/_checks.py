@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import sys
 from typing import Iterable, Optional
@@ -10,15 +9,28 @@ from typing import Iterable, Optional
 FLOAT_MAX = sys.float_info.max
 
 
+class _Fields:
+    """On first read, makes the nearest class in the MRO with its own ``__match_args__`` a dataclass."""
+
+    def __get__(self, instance, owner):
+        for cls in owner.__mro__:
+            if "__match_args__" in vars(cls):
+                import dataclasses
+                return dataclasses.dataclass(init=False, repr=False, eq=False)(cls).__dataclass_fields__
+        raise AttributeError(f"type object {owner.__name__!r} has no attribute '__dataclass_fields__'")
+
+
 class Frozen:
     """Base of every frozen class: values, cells, tables, reports, scales and soft sets.
 
-    Each is a ``dataclass(init=False, repr=False, eq=False)`` with a checking ``__init__``, and
-    has here the methods a frozen dataclass would generate, over its ``__match_args__`` fields.
-    It pickles and copies through its constructor, which runs the checks again.
+    Each names its fields once, ``__slots__ = __match_args__ = (...)``, and gets here the methods
+    a frozen dataclass would generate. Its dataclass fields are made on first use, so ``import
+    softchoice`` loads no ``dataclasses`` while ``dataclasses.fields``, ``replace`` and ``astuple``
+    work. It pickles and copies through its constructor, so its ``__init__`` checks run again.
     """
 
     __slots__ = ()
+    __dataclass_fields__ = _Fields()
 
     def __reduce__(self):  # the class and the field values, which == and hash compare too
         return type(self), tuple(getattr(self, name) for name in self.__match_args__)
@@ -33,11 +45,17 @@ class Frozen:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
         return f"{type(self).__qualname__}({fields})"
 
+    def __replace__(self, /, **changes):  # copy.replace, from Python 3.13
+        from dataclasses import replace
+        return replace(self, **changes)
+
     def __setattr__(self, name, value):
-        raise dataclasses.FrozenInstanceError(f"cannot assign to field {name!r}")
+        from dataclasses import FrozenInstanceError
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
     def __delattr__(self, name):
-        raise dataclasses.FrozenInstanceError(f"cannot delete field {name!r}")
+        from dataclasses import FrozenInstanceError
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 
 def checked_real(

@@ -55,6 +55,13 @@ def build_parser() -> _Parser:
             "Score every candidate of the input table with the chosen method "
             "and report the winners."
         ),
+        usage=(  # as argparse wraps it at 80 columns before 3.13, so every version prints the same
+            "%(prog)s [-h] --input INPUT --method\n"
+            "                         {binary,grey,neutrosophic} [--scale PATH]\n"
+            "                         [--criterion {optimistic,conservative,combined}]\n"
+            "                         [--epsilon EPSILON] [--format {text,json}]\n"
+            "                         [--output PATH]"
+        ),
     )
     decide_cmd.add_argument("--input", required=True, help="table document to score")
     decide_cmd.add_argument(

@@ -15,7 +15,6 @@ from __future__ import annotations
 import enum
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from operator import attrgetter, itemgetter
 from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional, Tuple, Union
 
@@ -25,11 +24,10 @@ from .grey import GreyNumber
 from .neutrosophic import Triplet, mean
 
 
-@dataclass(init=False, repr=False, eq=False)
 class BinCell(Frozen):
     """A crisp membership, 0 or 1; its table token is ``0`` or ``1``."""
 
-    __slots__ = ("value",)
+    __slots__ = __match_args__ = ("value",)
     value: int
 
     def __init__(self, value: int) -> None:
@@ -38,11 +36,10 @@ class BinCell(Frozen):
         object.__setattr__(self, "value", value)
 
 
-@dataclass(init=False, repr=False, eq=False)
 class GradeCell(Frozen):
     """A grade label to map through a scale; its table token is the label, e.g. ``A``."""
 
-    __slots__ = ("label",)
+    __slots__ = __match_args__ = ("label",)
     label: str
 
     def __init__(self, label: str) -> None:
@@ -51,11 +48,10 @@ class GradeCell(Frozen):
         object.__setattr__(self, "label", label)
 
 
-@dataclass(init=False, repr=False, eq=False)
 class GreyCell(Frozen):
     """An interval of membership; its table token is ``[lower;upper]``."""
 
-    __slots__ = ("interval",)
+    __slots__ = __match_args__ = ("interval",)
     interval: GreyNumber
 
     def __init__(self, interval: GreyNumber) -> None:
@@ -64,11 +60,10 @@ class GreyCell(Frozen):
         object.__setattr__(self, "interval", interval)
 
 
-@dataclass(init=False, repr=False, eq=False)
 class NeutroCell(Frozen):
     """A triplet of degrees; its table token is ``(truth;indeterminacy;falsity)``."""
 
-    __slots__ = ("triplet",)
+    __slots__ = __match_args__ = ("triplet",)
     triplet: Triplet
 
     def __init__(self, triplet: Triplet) -> None:
@@ -116,7 +111,6 @@ class Criterion(enum.Enum):
     COMBINED = "combined"
 
 
-@dataclass(init=False, repr=False, eq=False)
 class DecisionTable(Frozen):
     """Candidates by parameters cell matrix; at least one of each, all unique.
 
@@ -124,7 +118,7 @@ class DecisionTable(Frozen):
     form is the case where every cell is a BinCell.
     """
 
-    __slots__ = ("candidates", "parameters", "cells")
+    __slots__ = __match_args__ = ("candidates", "parameters", "cells")
     candidates: tuple
     parameters: tuple
     cells: tuple
@@ -156,11 +150,10 @@ class DecisionTable(Frozen):
         return self.cells[self.candidates.index(candidate)][self.parameters.index(parameter)]
 
 
-@dataclass(init=False, repr=False, eq=False)
 class DecisionReport(Frozen):
     """Outcome of one method run: scores, winners and any commentary."""
 
-    __slots__ = ("method", "scores", "winners", "criterion", "risk_notes", "notes")
+    __slots__ = __match_args__ = ("method", "scores", "winners", "criterion", "risk_notes", "notes")
     method: Method
     scores: Mapping[str, Score]
     winners: tuple

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from ._checks import Frozen
@@ -31,7 +30,6 @@ class ScaleValidationError(ValueError):
         super().__init__("invalid grade scale: " + "; ".join(self.violations))
 
 
-@dataclass(init=False, repr=False, eq=False)
 class GradeScale(Frozen):
     """Ordered (label, interval) entries, best grade first.
 
@@ -42,7 +40,8 @@ class GradeScale(Frozen):
     the first problem.
     """
 
-    __slots__ = ("entries", "_index")
+    __match_args__ = ("entries",)
+    __slots__ = (*__match_args__, "_index")
     entries: Tuple[Tuple[str, GreyNumber], ...]
 
     def __init__(self, entries: Tuple[Tuple[str, GreyNumber], ...]) -> None:
@@ -58,8 +57,7 @@ class GradeScale(Frozen):
             if not isinstance(interval, GreyNumber):
                 raise TypeError(f"grade {label!r} must map to a GreyNumber, got {type(interval).__name__}")
         object.__setattr__(self, "entries", entries)
-        # A slot but not a field, so ==, hash, repr and pickle see only the entries; a repeated
-        # label finds its first entry.
+        # Not a field, so ==, hash, repr and pickle skip it; a repeated label finds its first entry.
         object.__setattr__(self, "_index", dict(reversed(entries)))
 
     @property

@@ -2,12 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from ._checks import FLOAT_MAX, Frozen, checked_real
 
 
-@dataclass(init=False, repr=False, eq=False)
 class GreyNumber(Frozen):
     """A real number known only to lie in the closed interval [lower, upper].
 
@@ -17,7 +14,7 @@ class GreyNumber(Frozen):
     numbers.
     """
 
-    __slots__ = ("lower", "upper")
+    __slots__ = __match_args__ = ("lower", "upper")
     lower: float
     upper: float
 

@@ -10,17 +10,15 @@ into the box, where it provably belongs.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from typing import Iterable, Tuple
 
 from ._checks import FLOAT_MAX, Frozen, checked_real
 
 
-@dataclass(init=False, repr=False, eq=False)
 class TripletAccumulator(Frozen):
     """Componentwise sums and scalings of triplets; nonnegative, bounded above only by ``_high``."""
 
-    __slots__ = ("truth", "indeterminacy", "falsity")
+    __slots__ = __match_args__ = ("truth", "indeterminacy", "falsity")
     truth: float
     indeterminacy: float
     falsity: float

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from ._checks import Frozen, checked_ids, checked_real
@@ -11,7 +10,6 @@ from .engine import BinCell, DecisionTable
 _BINARY = (BinCell(0), BinCell(1))  # cells are frozen, so every tabulated 0 or 1 shares one
 
 
-@dataclass(init=False, repr=False, eq=False)
 class SoftSet(Frozen):
     """Maps each parameter to the subset of the universe that satisfies it.
 
@@ -22,7 +20,7 @@ class SoftSet(Frozen):
     ``decide(soft.tabulate(), "binary")`` gives its choice values.
     """
 
-    __slots__ = ("universe", "parameters", "value_sets")
+    __slots__ = __match_args__ = ("universe", "parameters", "value_sets")
     universe: tuple
     parameters: tuple
     value_sets: Mapping[str, frozenset]

@@ -5,9 +5,11 @@ import copy
 import dataclasses
 import importlib
 import math
+import os
 import pickle
 import pkgutil
 import struct
+import subprocess
 import sys
 from pathlib import Path
 
@@ -16,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import softchoice
-from softchoice._checks import checked_real
+from softchoice._checks import Frozen, checked_real
 from softchoice.engine import (
     BinCell,
     DecisionReport,
@@ -152,6 +154,7 @@ class TestFrozenSlottedContract:
         copies = [pickle.loads(pickle.dumps(value, protocol))
                   for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
         copies += [copy.copy(value), copy.deepcopy(value), dataclasses.replace(value)]
+        copies += [copy.replace(value)] if hasattr(copy, "replace") else []  # Python 3.13 on
         for other in copies:
             assert type(other) is type(value) and other == value
 
@@ -170,18 +173,51 @@ class TestFrozenSlottedContract:
 
 
 def test_no_class_holds_a_generated_dataclass_method():
-    """Every dataclass in the package is built on Frozen, so importing it execs no generated code."""
+    """Every frozen class is a dataclass whose fields are its ``__match_args__``, which drive
+    ==, hash, repr and pickle, and no class holds code that ``dataclasses`` generated."""
     package = Path(softchoice.__file__).resolve().parent
     classes = {
         value
         for module in pkgutil.iter_modules(softchoice.__path__)
         for value in vars(importlib.import_module(f"softchoice.{module.name}")).values()
-        if isinstance(value, type) and dataclasses.is_dataclass(value)
+        if isinstance(value, type) and issubclass(value, Frozen) and value is not Frozen
     }
     assert {"DecisionTable", "DecisionReport", "GradeScale", "SoftSet"} <= {cls.__name__ for cls in classes}
     for cls in classes:
+        assert tuple(field.name for field in dataclasses.fields(cls)) == cls.__match_args__, cls
         for name in ("__init__", "__repr__", "__eq__", "__hash__", "__setattr__", "__delattr__"):
             assert Path(getattr(cls, name).__code__.co_filename).resolve().parent == package, (cls, name)
+
+
+def test_dataclass_fields_are_made_on_first_use():
+    """``import softchoice.cli`` loads neither ``dataclasses`` nor the ``inspect`` it imports.
+
+    The child runs with ``-S``, so that no ``.pth`` file can load either first. The first
+    read of the fields makes a dataclass of the class that names them, never of ``Frozen``;
+    ``copy.replace`` (from Python 3.13) or ``dataclasses.replace`` works before any such read.
+    """
+    probe = (
+        "import sys\n"
+        "import softchoice.cli\n"
+        "print('dataclasses' in sys.modules, 'inspect' in sys.modules)\n"
+        "import dataclasses\n"
+        "from softchoice._checks import Frozen\n"
+        "from softchoice.neutrosophic import Triplet, TripletAccumulator\n"
+        "print(*(field.name for field in dataclasses.fields(Triplet)))\n"
+        "print(*(('__dataclass_fields__' in vars(cls)) for cls in (TripletAccumulator, Triplet)))\n"
+        "print(dataclasses.is_dataclass(Frozen))\n"
+        "import copy\n"
+        "from softchoice.grey import GreyNumber\n"
+        "print(getattr(copy, 'replace', dataclasses.replace)(GreyNumber(0.0, 1.0), upper=2.0))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(softchoice.__file__).parent.parent))
+    child = subprocess.run(
+        [sys.executable, "-S", "-c", probe], capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.splitlines() == [
+        "False False", "truth indeterminacy falsity", "True False", "False", "[0.0;2.0]",
+    ]
 
 
 # Guards that no other test reaches, with the exception and message each raises.
