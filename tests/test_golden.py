@@ -1,10 +1,11 @@
 """Byte-for-byte reports on the paper's worked examples.
 
-Each command line below covers one method, criterion or output route; its
-report must equal the file of the same name under ``tests/golden/``, both
-from ``run_cli`` in-process and from the console script's entry point in a
-child. The files were captured from softchoice 0.1.0. A mismatch means a
-default report changed, which every refactoring must avoid.
+Report bytes are pinned here, as error bytes (usage errors, exit 1, included) are
+in ``test_cli._ERROR_GOLDENS``. Each line below must print the file of its name
+under ``tests/golden/``, in-process and through the console script in a child; a
+new output case goes in as one more line and file. The files were captured from
+softchoice 0.1.0: a mismatch means a default report changed, which every
+refactoring must avoid.
 """
 
 import os

@@ -1,4 +1,3 @@
-import random
 import time
 
 import pytest
@@ -27,16 +26,6 @@ def binary_table(row_ids, col_ids, rows):
 def binary_rows(table):
     """The cells of an all-BinCell table as rows of ints."""
     return tuple(tuple(cell.value for cell in row) for row in table.cells)
-
-
-def random_soft_set(rng, max_universe=6, max_parameters=5):
-    universe = tuple(f"x{i}" for i in range(1, rng.randint(1, max_universe) + 1))
-    parameters = tuple(f"e{j}" for j in range(1, rng.randint(1, max_parameters) + 1))
-    value_sets = {
-        parameter: frozenset(element for element in universe if rng.random() < 0.5)
-        for parameter in parameters
-    }
-    return SoftSet(universe, parameters, value_sets)
 
 
 class TestConstruction:
@@ -90,13 +79,6 @@ class TestConstruction:
 
 
 class TestTabulate:
-    def test_houses_example(self):
-        soft = SoftSet(HOUSES, HOUSE_PARAMS, HOUSE_VALUE_SETS)
-        table = soft.tabulate()
-        assert table.candidates == HOUSES
-        assert table.parameters == HOUSE_PARAMS
-        assert binary_rows(table) == HOUSE_ROWS
-
     def test_empty_value_sets_give_a_zero_matrix(self):
         soft = SoftSet(("a", "b"), ("e1", "e2"), {})
         assert binary_rows(soft.tabulate()) == ((0, 0), (0, 0))
@@ -127,15 +109,6 @@ class TestFromTable:
         soft = SoftSet.from_table(binary_table(("a", "b"), ("e1", "e2"), ((0, 0), (0, 0))))
         assert all(not members for members in soft.value_sets.values())
 
-    def test_round_trip_both_ways(self):
-        rng = random.Random(20240811)
-        for _ in range(50):
-            soft = random_soft_set(rng)
-            assert SoftSet.from_table(soft.tabulate()) == soft
-        for _ in range(50):
-            table = random_soft_set(rng).tabulate()
-            assert SoftSet.from_table(table).tabulate() == table
-
 
 class TestFromFuzzy:
     def test_single_cut_keeps_high_membership_elements(self):
@@ -146,16 +119,6 @@ class TestFromFuzzy:
     def test_zero_cut_keeps_the_whole_universe(self):
         soft = SoftSet.from_fuzzy({"x1": 0.0, "x2": 0.7}, [0.0])
         assert soft.value_sets["0.0"] == frozenset({"x1", "x2"})
-
-    def test_cuts_nest_decreasingly(self):
-        rng = random.Random(7)
-        membership = {f"x{i}": rng.random() for i in range(1, 7)}
-        soft = SoftSet.from_fuzzy(membership, [0.25, 0.5, 0.75])
-        low, mid, high = (soft.value_sets[parameter] for parameter in soft.parameters)
-        assert high <= mid <= low
-        # brute-force filter oracle
-        for level, members in zip((0.25, 0.5, 0.75), (low, mid, high)):
-            assert members == frozenset(x for x, m in membership.items() if m >= level)
 
     def test_membership_outside_unit_interval_rejected(self):
         with pytest.raises(ValueError, match="membership"):

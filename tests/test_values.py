@@ -164,6 +164,8 @@ class TestFrozenSlottedContract:
     def test_fields_cannot_be_assigned(self, value):
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(value, dataclasses.fields(value)[0].name, 0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(value, dataclasses.fields(value)[0].name)
 
     def test_new_names_are_refused_with_an_attribute_error(self, value):
         with pytest.raises(AttributeError):
