@@ -40,7 +40,11 @@ class TripletAccumulator(Frozen):
         object.__setattr__(self, "falsity", falsity)
 
     def __str__(self) -> str:
-        """The table token, ``(truth;indeterminacy;falsity)``; a boxed one re-parses exactly."""
+        """The table token, ``(truth;indeterminacy;falsity)``.
+
+        A boxed one re-parses exactly unless a component is ``-0.0``: it prints with a
+        minus sign, which the table format cannot spell, so ``parse_cell`` rejects it.
+        """
         return f"({self.truth!r};{self.indeterminacy!r};{self.falsity!r})"
 
     def __add__(self, other: "TripletAccumulator") -> "TripletAccumulator":

@@ -1,5 +1,4 @@
 import dataclasses
-import json
 import pickle
 import random
 import re
@@ -27,7 +26,6 @@ from softchoice.tableio import (
     parse_cell,
     parse_scale,
     parse_table,
-    render_report_json,
     render_report_text,
     write_scale,
     write_table,
@@ -59,17 +57,6 @@ def random_table(rng, max_rows=6, max_cols=5):
 
 
 class TestParseTable:
-    def test_binary_document(self, binary_table):
-        assert parse_table(BINARY_DOC) == binary_table
-
-    def test_graded_document(self, graded_table):
-        assert parse_table(GRADED_DOC) == graded_table
-
-    def test_triplet_document(self, triplet_table):
-        table = parse_table(TRIPLET_DOC)
-        assert table == triplet_table
-        assert table.cell("P1", "e4") == NeutroCell(Triplet(0.6, 0.3, 0.1))
-
     def test_crlf_and_blank_lines_accepted(self):
         doc = ",e1\r\n\r\nc1,1\r\n"
         assert parse_table(doc) == DecisionTable(("c1",), ("e1",), ((BinCell(1),),))
@@ -432,14 +419,6 @@ class TestScaleDocuments:
 
 
 class TestReports:
-    def test_text_report_fields(self, triplet_table):
-        report = decide(triplet_table, "neutrosophic")
-        text = render_report_text(report)
-        assert text.startswith("method: neutrosophic\ncriterion: combined\n")
-        assert "winners: P3\n" in text
-        assert "risk notes:" in text
-        assert text.endswith("\n")
-
     def test_text_scores_reparse_exactly(self, graded_table, triplet_table):
         for method, table in (("grey", graded_table), ("neutrosophic", triplet_table)):
             report = decide(table, method)
@@ -453,24 +432,3 @@ class TestReports:
                 else:
                     cell = parse_cell(token)
                     assert cell.triplet == score
-
-    def test_json_mirrors_text(self, binary_table):
-        report = decide(binary_table, "binary")
-        document = json.loads(render_report_json(report))
-        assert document == {
-            "method": "binary",
-            "scores": {"P1": 1, "P2": 2, "P3": 2, "P4": 1, "P5": 2, "P6": 2},
-            "winners": ["P2", "P3", "P5", "P6"],
-        }
-
-    def test_json_neutrosophic_scores_use_cell_tokens(self, triplet_table):
-        report = decide(triplet_table, "neutrosophic")
-        document = json.loads(render_report_json(report))
-        assert parse_cell(document["scores"]["P3"]).triplet == report.scores["P3"]
-        assert document["winners"] == ["P3"]
-        assert "risk_notes" in document and "notes" in document
-
-    def test_rendering_is_deterministic(self, graded_table):
-        report = decide(graded_table, "grey")
-        assert render_report_text(report) == render_report_text(report)
-        assert render_report_json(report) == render_report_json(report)
