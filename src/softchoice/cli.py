@@ -3,22 +3,29 @@
 Exit codes: 0 success, 1 usage error, 2 parse/validation error (including
 unreadable input files, unwritable or cut-short reports, unknown grade labels and
 grey scores beyond the float range), 3 method/cell mismatch.
+
+A plain ``decide`` command line, exact long flags each given once, skips argparse,
+whose import and parser build cost more than a worked example's whole run. Help,
+usage errors and every other spelling go through ``build_parser``, in its own words.
 """
 
 from __future__ import annotations
 
-import argparse
 import errno
 import gc
 import os
 import stat
 import sys
-from typing import Any, Callable, Optional, Sequence
+from types import SimpleNamespace
+from typing import TYPE_CHECKING, Any, Callable, Optional, Sequence
 
 from . import tableio
 from ._checks import checked_real
 from .engine import CellMismatchError, Criterion, Method, decide
 from .grades import ScaleValidationError, UnknownGradeError
+
+if TYPE_CHECKING:
+    import argparse
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -34,15 +41,24 @@ class _InvalidInput(Exception):
     pass
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        raise _UsageError(message)
+# The flags of ``decide``, each with its choices in the order that help and usage errors list them.
+_FLAGS = {
+    "--input": None, "--method": tuple(method.value for method in Method), "--scale": None,
+    "--criterion": tuple(criterion.value for criterion in Criterion), "--epsilon": None,
+    "--format": ("text", "json"), "--output": None,
+}
 
-    def print_help(self, file=None):  # as a report: all of it reaches standard output, or OSError
-        _write_stream(1, sys.stdout, self.format_help())
 
+def build_parser() -> argparse.ArgumentParser:
+    import argparse  # here, so that a plain command line never loads it
 
-def build_parser() -> _Parser:
+    class _Parser(argparse.ArgumentParser):
+        def error(self, message):
+            raise _UsageError(message)
+
+        def print_help(self, file=None):  # as a report: all of it reaches standard output, or OSError
+            _write_stream(1, sys.stdout, self.format_help())
+
     parser = _Parser(
         prog="softchoice",
         description="Score and rank the candidates of a decision table.",
@@ -65,7 +81,7 @@ def build_parser() -> _Parser:
     )
     decide_cmd.add_argument("--input", required=True, help="table document to score")
     decide_cmd.add_argument(
-        "--method", required=True, choices=[method.value for method in Method],
+        "--method", required=True, choices=_FLAGS["--method"],
         help="aggregation method",
     )
     decide_cmd.add_argument(
@@ -73,7 +89,7 @@ def build_parser() -> _Parser:
         help="grade-scale document (grey method only; built-in scale when omitted)",
     )
     decide_cmd.add_argument(
-        "--criterion", default=None, choices=[criterion.value for criterion in Criterion],
+        "--criterion", default=None, choices=_FLAGS["--criterion"],
         help="ranking criterion (neutrosophic method only; default: combined)",
     )
     decide_cmd.add_argument(
@@ -81,7 +97,7 @@ def build_parser() -> _Parser:
         help="tie tolerance for winner detection (default: 1e-9)",
     )
     decide_cmd.add_argument(
-        "--format", default="text", choices=["text", "json"], dest="format_",
+        "--format", default="text", choices=_FLAGS["--format"], dest="format_",
         metavar="{text,json}", help="report format (default: text)",
     )
     decide_cmd.add_argument(
@@ -89,6 +105,26 @@ def build_parser() -> _Parser:
         help="write the report here instead of standard output",
     )
     return parser
+
+
+def _plain_options(argv: Sequence[Any]) -> Optional[SimpleNamespace]:
+    """``build_parser``'s reading of ``decide`` and exact long flags, each given once, or None."""
+    if len(argv) % 2 == 0 or any(type(arg) is not str for arg in argv) or argv[0] != "decide":
+        return None
+    given = dict(zip(argv[1::2], argv[2::2]))
+    if 2 * len(given) != len(argv) - 1 or not {"--input", "--method"} <= given.keys() <= _FLAGS.keys():
+        return None  # a repeat, an unknown or abbreviated flag, or a required one missing
+    if any(value.startswith("-") or value not in (_FLAGS[flag] or (value,)) for flag, value in given.items()):
+        return None  # a value that argparse may read as a flag, or one outside the choices
+    try:
+        epsilon = float(given.get("--epsilon", 1e-9))
+    except ValueError:
+        return None
+    return SimpleNamespace(
+        command="decide", input=given["--input"], method=given["--method"],
+        scale=given.get("--scale"), criterion=given.get("--criterion"), epsilon=epsilon,
+        format_=given.get("--format", "text"), output=given.get("--output"),
+    )
 
 
 def _fail(code: int, message: str, usage: str = "") -> int:
@@ -180,15 +216,17 @@ def _write_report(path: str, text: str) -> None:
 
 def run_cli(argv: Optional[Sequence[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
-    try:
-        options = parser.parse_args(argv)
-    except _UsageError as exc:
-        return _fail(EXIT_USAGE, str(exc), usage=parser.format_usage())
-    except SystemExit as exc:  # --help
-        return int(exc.code or 0)
-    except OSError as exc:  # --help to an unwritable standard output
-        return _fail(EXIT_INVALID, f"cannot write standard output: {exc.strerror or exc}")
+    options = _plain_options(argv)
+    if options is None:
+        parser = build_parser()
+        try:
+            options = parser.parse_args(argv)
+        except _UsageError as exc:
+            return _fail(EXIT_USAGE, str(exc), usage=parser.format_usage())
+        except SystemExit as exc:  # --help
+            return int(exc.code or 0)
+        except OSError as exc:  # --help to an unwritable standard output
+            return _fail(EXIT_INVALID, f"cannot write standard output: {exc.strerror or exc}")
 
     try:
         checked_real(options.epsilon, "--epsilon", low=0.0, strict=True)

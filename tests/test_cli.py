@@ -8,7 +8,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import softchoice
@@ -509,9 +509,10 @@ def test_importing_the_cli_loads_no_exact_arithmetic_modules(docs):
 
     Nor is ``json`` for a text report, or the soft-set module, which every run
     would compile on a host without a bytecode cache, as this child has; the
-    package loads ``SoftSet`` on first use. A run of each method then loads
-    nothing outside the standard library and softchoice itself, because the
-    package has no runtime dependencies.
+    package loads ``SoftSet`` on first use. Nor are ``argparse`` and the
+    ``gettext`` that it loads, neither at import nor for a plain command line. A
+    run of each method then loads nothing outside the standard library and
+    softchoice itself, because the package has no runtime dependencies.
     """
     names = ("fractions", "decimal", "json", "softchoice.softset")
     probe = (
@@ -525,6 +526,7 @@ def test_importing_the_cli_loads_no_exact_arithmetic_modules(docs):
         "    print(softchoice.cli.run_cli(argv), end=' ')\n"
         "loaded = {name.partition('.')[0] for name in set(sys.modules) - bare}\n"
         "print('|', *sorted(loaded - set(sys.stdlib_module_names) - {'softchoice'}))\n"
+        "print('argparse:', *sorted(loaded & {'argparse', 'gettext'}))\n"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(softchoice.__file__).parent.parent), PYTHONDONTWRITEBYTECODE="1")
     child = subprocess.run(
@@ -532,9 +534,9 @@ def test_importing_the_cli_loads_no_exact_arithmetic_modules(docs):
         capture_output=True, text=True, env=env, timeout=60,
     )
     assert child.returncode == 0, child.stderr
-    imports, same, runs = child.stdout.splitlines()
+    imports, same, runs, parser = child.stdout.splitlines()
     codes, _, foreign = runs.partition("|")
-    assert (same, codes.split(), foreign.split()) == ("True", ["0", "0", "0"], [])
+    assert (same, codes.split(), foreign.split(), parser) == ("True", ["0", "0", "0"], [], "argparse:")
     states = [field.split(":") for field in imports.split()]
     assert [name for name, bare, loaded in states if (bare, loaded) == ("False", "True")] == []
 
@@ -676,3 +678,54 @@ def test_cli_contract_on_arbitrary_scales(tmp_path, capsys, scale_doc, table_doc
     if code in (2, 3):
         assert str(scale) in captured.err or str(table) in captured.err
     _assert_a_leading_bom_is_ignored(capsys, scale_doc, scale, argv, code, captured)
+
+
+class _Str(str):
+    pass
+
+
+# Plain command lines, by the values that each exact flag takes, and the near misses that
+# edit one into help, an abbreviation, an ``=`` form, a repeat, a value that starts with
+# ``-``, a choice or epsilon that argparse rejects, an odd length or an element that is no str.
+_PLAIN_VALUES = {
+    "--input": ["t.csv", "", "a b", "a=b", "decide"], "--method": list(_METHODS), "--scale": ["s.txt"],
+    "--criterion": ["optimistic", "conservative", "combined"], "--format": ["text", "json"],
+    "--epsilon": ["0.5", " 1e-3 ", "1_0", "1e400", "nan", "0"], "--output": ["o.txt"],
+}
+_NEAR_MISSES = [
+    *_PLAIN_VALUES, "--inp", "--meth", "--e", "--input=t.csv", "--method=grey", "-h", "--help", "--", "-",
+    "decide", "Grey", "x", "-1", "-x", None, 1, b"--input", Path("t.csv"), _Str("decide"), _Str("--input"),
+]
+_EDITS = [[], *([miss] for miss in _NEAR_MISSES)]
+
+
+@st.composite
+def _command_lines(draw):
+    flags = draw(st.lists(st.sampled_from(list(_PLAIN_VALUES)), unique=True))
+    argv = ["decide"]
+    for flag in [*flags, *(required for required in ("--input", "--method") if required not in flags)]:
+        argv += [flag, draw(st.sampled_from(_PLAIN_VALUES[flag]))]
+    for _ in range(draw(st.integers(min_value=0, max_value=2))):  # an insert, a replacement or a deletion
+        start = draw(st.integers(min_value=0, max_value=len(argv)))
+        stop = start + draw(st.integers(min_value=0, max_value=1))
+        argv[start:stop] = draw(st.sampled_from(_EDITS))
+    return argv
+
+
+_PARSER = cli.build_parser()  # one for all examples: parse_args keeps no state between calls
+
+
+@settings(max_examples=2000, deadline=None)
+@given(argv=_command_lines())
+@example(argv=[])
+@example(argv=["decide", "--help"])
+def test_a_plain_command_line_reads_as_argparse_reads_it(argv):
+    """Where ``run_cli`` reads an argv without argparse, argparse gives the same attributes.
+
+    Every other argv goes to argparse itself, whose help and usage errors the goldens pin.
+    """
+    plain = cli._plain_options(argv)
+    if plain is not None:
+        parsed = _PARSER.parse_args(argv)
+        # As reprs, so that a nan epsilon equals itself.
+        assert repr(sorted(vars(plain).items())) == repr(sorted(vars(parsed).items()))

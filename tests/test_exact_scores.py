@@ -3,13 +3,17 @@
 The grey oracle adds the interval endpoints as floats, left to right, and
 takes the midpoint once; the neutrosophic oracle is the exact rational
 mean rounded once per component. Scores must match to the last bit, not
-to within a tolerance.
+to within a tolerance. The hypothesis properties check the same oracles on
+one row at a time: another spelling of a cell scores bit-identically, and a
+better cell never scores lower.
 """
 
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from softchoice.cli import run_cli
 from softchoice.engine import (
@@ -119,6 +123,98 @@ def test_neutrosophic_scores_equal_the_rational_mean_rounded_once(seed):
         for candidate, row in zip(table.candidates, table.cells):
             score = scores[candidate]
             assert (score.truth, score.indeterminacy, score.falsity) == _neutro_oracle(row)
+
+
+# The properties score one row at a time, as each score depends on its own row only.
+def _one_row(cells):
+    return DecisionTable(("c",), tuple(f"e{j}" for j in range(len(cells))), (tuple(cells),))
+
+
+def _bits(score):
+    return tuple(part.hex() for part in (score.truth, score.indeterminacy, score.falsity))
+
+
+_SPELLED = {0: Triplet(0, 0, 1), 1: Triplet(1, 0, 0)}  # what a 0/1 cell counts as in the mean
+_degrees = st.floats(min_value=0.0, max_value=1.0)
+_neutro_cells = st.one_of(
+    st.sampled_from([BinCell(0), BinCell(1)]),
+    st.builds(Triplet, _degrees, _degrees, _degrees).map(NeutroCell),
+)
+_neutro_rows = st.lists(_neutro_cells, min_size=1, max_size=12)
+
+
+def _triplet_of(cell):
+    return _SPELLED[cell.value] if isinstance(cell, BinCell) else cell.triplet
+
+
+@settings(max_examples=300)
+@given(_neutro_rows, st.data())
+def test_a_zero_or_one_scores_as_its_triplet_spelling(row, data):
+    """``1`` and ``(1;0;0)``, and ``0`` and ``(0;0;1)``, give bit-identical neutrosophic scores."""
+    respelled = [
+        NeutroCell(_triplet_of(cell)) if isinstance(cell, BinCell) and data.draw(st.booleans()) else cell
+        for cell in row
+    ]
+    score, again = (choice_values_neutrosophic(_one_row(cells))["c"] for cells in (row, respelled))
+    assert _bits(score) == _bits(again) == _bits(Triplet(*_neutro_oracle(respelled)))
+
+
+@settings(max_examples=200)
+@given(st.lists(st.integers(min_value=0, max_value=1), min_size=1, max_size=30), st.data())
+def test_a_binary_zero_raised_to_one_never_lowers_the_score(values, data):
+    raised = list(values)
+    raised[data.draw(st.integers(min_value=0, max_value=len(values) - 1))] = 1
+    before, after = (choice_values_binary(_one_row([*map(BinCell, row)]))["c"] for row in (values, raised))
+    assert (before, after) == (sum(values), sum(raised)) and after >= before
+
+
+@settings(max_examples=300)
+@given(_neutro_rows, st.data())
+def test_more_truth_or_less_falsity_in_a_cell_never_worsens_the_mean(row, data):
+    """Truth up or falsity down, in one cell, never lowers the mean's truth or raises its falsity."""
+    j = data.draw(st.integers(min_value=0, max_value=len(row) - 1))
+    old = _triplet_of(row[j])
+    new = Triplet(
+        data.draw(st.floats(min_value=old.truth, max_value=1.0)), old.indeterminacy,
+        data.draw(st.floats(min_value=0.0, max_value=old.falsity)),
+    )
+    raised = [*row[:j], NeutroCell(new), *row[j + 1:]]
+    before, after = (choice_values_neutrosophic(_one_row(cells))["c"] for cells in (row, raised))
+    assert _bits(before) == _bits(Triplet(*_neutro_oracle(row)))
+    assert _bits(after) == _bits(Triplet(*_neutro_oracle(raised)))
+    assert after.truth >= before.truth and after.falsity <= before.falsity
+
+
+_endpoints = st.floats(min_value=-1e3, max_value=1e3)
+_grey_cells = st.one_of(
+    st.sampled_from([BinCell(0), BinCell(1), *map(GradeCell, "ABCDF")]),
+    st.tuples(_endpoints, _endpoints).map(lambda ends: GreyCell(GreyNumber(min(ends), max(ends)))),
+)
+
+
+@settings(max_examples=300)
+@given(st.lists(_grey_cells, min_size=1, max_size=12), st.data())
+def test_raising_a_grey_cell_within_its_kind_never_lowers_the_score(row, data):
+    """0 to 1, a better grade of the built-in scale, or both endpoints of an interval up.
+
+    A raise that changes a cell's kind, such as ``[0.9;0.95]`` to ``1``, moves the
+    float fold, so it is not claimed.
+    """
+    scale = default_scale()
+    j = data.draw(st.integers(min_value=0, max_value=len(row) - 1))
+    cell = row[j]
+    if isinstance(cell, BinCell):
+        new = BinCell(1)
+    elif isinstance(cell, GradeCell):  # the built-in scale's grades run best first
+        new = GradeCell(data.draw(st.sampled_from(scale.labels[:scale.labels.index(cell.label) + 1])))
+    else:
+        lower = data.draw(st.floats(min_value=cell.interval.lower, max_value=2e3))
+        upper = data.draw(st.floats(min_value=max(lower, cell.interval.upper), max_value=4e3))
+        new = GreyCell(GreyNumber(lower, upper))
+    raised = [*row[:j], new, *row[j + 1:]]
+    before, after = (choice_values_grey(_one_row(cells), scale)["c"] for cells in (row, raised))
+    assert (before, after) == (_grey_oracle(row, scale), _grey_oracle(raised, scale))
+    assert after >= before
 
 
 def _huge_grey_table(*intervals):

@@ -74,15 +74,19 @@ def test_worked_example_report_is_byte_identical(tmp_path, capsys, name, table, 
 
 
 # The console script's entry point in a child. At exit, after main has raised
-# SystemExit, the probe records whether the collector is enabled and whether
-# the import-time heap is frozen, into the file named by the first argument.
+# SystemExit, the probe records whether the collector is enabled, whether the
+# import-time heap is frozen and whether main loaded argparse, which a plain
+# command line such as each of these does not need, into the file named by the
+# first argument.
 _ENTRY_POINT = """\
 import atexit, gc, sys
 path = sys.argv.pop(1)
+bare = set(sys.modules)
 
 def probe():
     with open(path, "w", encoding="utf-8") as handle:
-        handle.write(f"enabled={gc.isenabled()} frozen={gc.get_freeze_count() > 0}")
+        handle.write(f"enabled={gc.isenabled()} frozen={gc.get_freeze_count() > 0} "
+                     f"argparse={'argparse' in set(sys.modules) - bare}")
 
 atexit.register(probe)
 from softchoice.cli import main
@@ -100,4 +104,4 @@ def test_worked_example_report_through_the_entry_point(tmp_path, name, table, ex
     )
     assert (child.returncode, child.stderr) == (0, b"")
     assert _report(tmp_path, extra, child.stdout) == (GOLDEN / name).read_bytes()
-    assert probe.read_text(encoding="utf-8") == "enabled=False frozen=True"
+    assert probe.read_text(encoding="utf-8") == "enabled=False frozen=True argparse=False"

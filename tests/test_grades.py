@@ -93,6 +93,13 @@ class TestValidation:
         scale = GradeScale((("F", GreyNumber(0.0, 0.1)), ("A", GreyNumber(0.9, 1.0))))
         assert any("descending" in violation for violation in scale.validate())
 
+    def test_equal_lower_endpoints_break_the_order_and_overlap(self):
+        scale = GradeScale((("A", GreyNumber(0.5, 1.0)), ("B", GreyNumber(0.5, 0.6))))
+        assert scale.validate() == [
+            "grades 'A' and 'B' are not in strictly descending order of lower endpoint",
+            "grades 'A' and 'B' overlap",
+        ]
+
     def test_duplicate_labels_reported(self):
         scale = GradeScale((("A", GreyNumber(0.9, 1.0)), ("A", GreyNumber(0.1, 0.2))))
         assert any("duplicate" in violation for violation in scale.validate())

@@ -158,8 +158,9 @@ class TestMean:
 
     @pytest.mark.parametrize("count", [0, -1])
     def test_non_positive_multiplicity_rejected(self, count):
-        with pytest.raises(ValueError, match="multiplicity"):
-            mean([(Triplet(1, 0, 0), count)])
+        """After a sound entry, so that the empty-mean error cannot stand in for this one."""
+        with pytest.raises(ValueError, match=f"^multiplicity must be >= 1, got {count}$"):
+            mean([(Triplet(1, 0, 0), 1), (Triplet(0, 0, 1), count)])
 
     def test_non_integer_multiplicity_rejected(self):
         with pytest.raises(TypeError, match="multiplicity"):
@@ -202,6 +203,10 @@ class TestClassification:
         nearly = Triplet(0.5, 0.25, 0.25 + 1e-12)
         assert classify_information(nearly, epsilon=1e-9) is InformationClass.COMPLETE
         assert classify_information(nearly, epsilon=1e-15) is InformationClass.INCONSISTENT
+        # Dyadic, so the sum 0.875 and its distance 0.125 from 1 are exact: the band is closed.
+        dyadic = Triplet(0.5, 0.25, 0.125)
+        assert classify_information(dyadic, epsilon=0.125) is InformationClass.COMPLETE
+        assert classify_information(dyadic, epsilon=math.nextafter(0.125, 0)) is InformationClass.INCOMPLETE
 
     def test_non_positive_epsilon_rejected(self):
         with pytest.raises(ValueError):
