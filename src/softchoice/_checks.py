@@ -1,4 +1,4 @@
-"""The one finite-real check, the one identifier check, and the one base of the frozen slotted classes."""
+"""The one finite-real check, identifier check, default tie tolerance and frozen slotted base class."""
 
 from __future__ import annotations
 
@@ -7,6 +7,7 @@ import sys
 from typing import Iterable, Optional
 
 FLOAT_MAX = sys.float_info.max
+EPSILON = 1e-9  # the default tie tolerance of decide, the rankers and --epsilon
 
 
 class _Fields:

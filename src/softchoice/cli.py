@@ -20,7 +20,7 @@ from types import SimpleNamespace
 from typing import TYPE_CHECKING, Any, Callable, Optional, Sequence
 
 from . import tableio
-from ._checks import checked_real
+from ._checks import EPSILON, checked_real
 from .engine import CellMismatchError, Criterion, Method, decide
 from .grades import ScaleValidationError, UnknownGradeError
 
@@ -93,7 +93,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="ranking criterion (neutrosophic method only; default: combined)",
     )
     decide_cmd.add_argument(
-        "--epsilon", type=float, default=1e-9,
+        "--epsilon", type=float, default=EPSILON,
         help="tie tolerance for winner detection (default: 1e-9)",
     )
     decide_cmd.add_argument(
@@ -117,7 +117,7 @@ def _plain_options(argv: Sequence[Any]) -> Optional[SimpleNamespace]:
     if any(value.startswith("-") or value not in (_FLAGS[flag] or (value,)) for flag, value in given.items()):
         return None  # a value that argparse may read as a flag, or one outside the choices
     try:
-        epsilon = float(given.get("--epsilon", 1e-9))
+        epsilon = float(given.get("--epsilon", EPSILON))
     except ValueError:
         return None
     return SimpleNamespace(
@@ -240,14 +240,12 @@ def run_cli(argv: Optional[Sequence[str]] = None) -> int:
     try:
         table = _load(options.input, tableio.parse_table)
         scale = None if options.scale is None else _load(options.scale, tableio.parse_scale)
-    except _InvalidInput as exc:
-        return _fail(EXIT_INVALID, str(exc))
-
-    try:
         report = decide(
             table, options.method,
             scale=scale, criterion=options.criterion, epsilon=options.epsilon,
         )
+    except _InvalidInput as exc:
+        return _fail(EXIT_INVALID, str(exc))
     except CellMismatchError as exc:
         return _fail(EXIT_MISMATCH, f"{options.input}: {exc}")
     except (UnknownGradeError, ValueError) as exc:  # e.g. a grey score beyond the float range

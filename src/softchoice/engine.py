@@ -16,9 +16,9 @@ import enum
 import math
 from bisect import bisect_left, bisect_right
 from operator import attrgetter, itemgetter
-from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional, Tuple, Union
+from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional, Set, Tuple, Union
 
-from ._checks import Frozen, checked_ids, checked_real
+from ._checks import EPSILON, Frozen, checked_ids, checked_real
 from .grades import GradeScale, ScaleValidationError, UnknownGradeError, default_scale
 from .grey import GreyNumber
 from .neutrosophic import Triplet, mean
@@ -266,17 +266,17 @@ def _ranked(
     return _argmax_within({candidate: key(score) for candidate, score in scores.items()}, epsilon)
 
 
-def rank_optimistic(scores: Mapping[str, Triplet], epsilon: float = 1e-9) -> List[str]:
+def rank_optimistic(scores: Mapping[str, Triplet], epsilon: float = EPSILON) -> List[str]:
     """Candidates tied (within epsilon) for the greatest truth degree."""
     return _ranked(scores, attrgetter("truth"), epsilon)
 
 
-def rank_conservative(scores: Mapping[str, Triplet], epsilon: float = 1e-9) -> List[str]:
+def rank_conservative(scores: Mapping[str, Triplet], epsilon: float = EPSILON) -> List[str]:
     """Candidates tied (within epsilon) for the least falsity degree."""
     return _ranked(scores, lambda score: -score.falsity, epsilon)
 
 
-def rank_combined(scores: Mapping[str, Triplet], epsilon: float = 1e-9) -> List[str]:
+def rank_combined(scores: Mapping[str, Triplet], epsilon: float = EPSILON) -> List[str]:
     """Candidates winning both the optimistic and the conservative reading.
 
     When no candidate wins both, fall back to the greatest truth minus
@@ -325,7 +325,7 @@ def _short(value: float) -> str:
 def _risk_notes(
     scores: Mapping[str, Triplet],
     winners: List[str],
-    contenders: List[str],
+    contenders: Set[str],
     epsilon: float,
 ) -> Dict[str, str]:
     """Name each winner's nearest contenders in indeterminacy (ties to table order).
@@ -334,9 +334,11 @@ def _risk_notes(
     slices at most ``_NAMED_CONTENDERS + 1`` entries from each group of
     equal values, so no group is scanned whole.
     """
-    ranked = sorted((scores[other].indeterminacy, index, other) for index, other in enumerate(contenders))
+    ranked = sorted(
+        (score.indeterminacy, index, other)
+        for index, (other, score) in enumerate(scores.items()) if other in contenders
+    )
     values = [entry[0] for entry in ranked]
-    members = set(contenders)
     notes: Dict[str, str] = {}
     for winner in winners:
         doubt = scores[winner].indeterminacy
@@ -367,7 +369,7 @@ def _risk_notes(
                 clauses.append(f"is below {other}'s {_short(other_doubt)}")
             else:
                 clauses.append(f"matches {other}'s {_short(other_doubt)}")
-        more = len(members) - (winner in members) - len(clauses)
+        more = len(ranked) - (winner in contenders) - len(clauses)
         if more:
             clauses.append(f"and {more} more")
         note = f"indeterminacy {_short(doubt)}"
@@ -389,7 +391,7 @@ def decide(
     *,
     scale: Optional[GradeScale] = None,
     criterion: Optional[Union[Criterion, str]] = None,
-    epsilon: float = 1e-9,
+    epsilon: float = EPSILON,
 ) -> DecisionReport:
     """Run one method over a table and package scores, winners and commentary.
 
@@ -430,8 +432,7 @@ def decide(
         notes.append(_COMBINED_NOTE)
         if fallback:
             notes.append(_FALLBACK_NOTE)
-    contender_set = set(optimistic) | set(conservative)
-    contenders = [candidate for candidate in triplet_scores if candidate in contender_set]
+    contenders = set(optimistic) | set(conservative)
     return DecisionReport(
         method=method,
         scores=triplet_scores,

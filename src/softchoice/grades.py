@@ -84,9 +84,7 @@ class GradeScale(Frozen):
         for label, interval in self.entries:
             if interval.lower < 0.0 or interval.upper > 1.0:
                 violations.append(f"grade {label!r} interval {interval} escapes [0, 1]")
-        for index in range(len(self.entries) - 1):
-            label_a, a = self.entries[index]
-            label_b, b = self.entries[index + 1]
+        for (label_a, a), (label_b, b) in zip(self.entries, self.entries[1:]):
             if not a.lower > b.lower:
                 violations.append(
                     f"grades {label_a!r} and {label_b!r} are not in strictly "

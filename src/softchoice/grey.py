@@ -42,15 +42,7 @@ class GreyNumber(Frozen):
         k = checked_real(k, "scalar", low=0.0, strict=True)
         return GreyNumber(k * self.lower, k * self.upper)
 
-    def __mul__(self, k: float) -> "GreyNumber":
-        if isinstance(k, GreyNumber):
-            raise TypeError(
-                "interval-by-interval multiplication is not supported; "
-                "scale by a positive real instead"
-            )
-        return self.scale(k)
-
-    __rmul__ = __mul__
+    __mul__ = __rmul__ = scale
 
     def midpoint(self) -> float:
         """Representative crisp value of the interval."""

@@ -70,11 +70,11 @@ class ParseError(ValueError):
         super().__init__(f"{location}: {message}")
 
 
-# Opening bracket -> (closing bracket, token kind, component count, cell type, value type,
+# Opening bracket -> (closing bracket, token kind, cell type, value type,
 # the whole well-formed token with one group per number).
 _BRACKETED = {
-    "[": ("]", "interval", 2, GreyCell, GreyNumber, re.compile(rf"\[{_NUMBER};{_NUMBER}\]\Z")),
-    "(": (")", "triplet", 3, NeutroCell, Triplet, re.compile(rf"\({_NUMBER};{_NUMBER};{_NUMBER}\)\Z")),
+    "[": ("]", "interval", GreyCell, GreyNumber, re.compile(rf"\[{_NUMBER};{_NUMBER}\]\Z")),
+    "(": (")", "triplet", NeutroCell, Triplet, re.compile(rf"\({_NUMBER};{_NUMBER};{_NUMBER}\)\Z")),
 }
 _BINARY = {"0": BinCell(0), "1": BinCell(1)}  # cells are frozen, so every 0 or 1 shares one
 _SHARED_NUMBERS = 4096  # distinct number tokens one parse_table call shares a float for
@@ -94,15 +94,15 @@ def _parse_cell(token: str, shared: dict, number=float) -> Cell:
         return cell
     bracketed = _BRACKETED.get(token[:1])
     if bracketed is not None:
-        close, kind, count, cell_type, value_type, pattern = bracketed
+        close, kind, cell_type, value_type, pattern = bracketed
         match = pattern.match(token)
         if match:
             return cell_type(value_type(*map(number, match.groups())))
         if not token.endswith(close):
             raise ValueError(f"malformed {kind} token {token!r}")
         parts = token[1:-1].split(";")
-        if len(parts) != count:
-            raise ValueError(f"{kind} token {token!r} needs {count} components, got {len(parts)}")
+        if len(parts) != pattern.groups:
+            raise ValueError(f"{kind} token {token!r} needs {pattern.groups} components, got {len(parts)}")
         # Some part is a malformed number, or the pattern would have matched.
         bad = next(part for part in parts if not re.fullmatch(_NUMBER, part))
         raise ValueError(f"malformed number {bad!r} (nonnegative decimal expected)")

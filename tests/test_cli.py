@@ -1,6 +1,8 @@
 import errno
 import gc
+import inspect
 import os
+import re
 import signal
 import stat
 import subprocess
@@ -14,7 +16,9 @@ from hypothesis import strategies as st
 import softchoice
 
 from softchoice import cli
+from softchoice._checks import EPSILON
 from softchoice.cli import run_cli
+from softchoice.engine import decide, rank_combined, rank_conservative, rank_optimistic
 
 from conftest import BINARY_DOC, DEFAULT_SCALE_DOC, GRADED_DOC, TRIPLET_DOC
 
@@ -28,6 +32,19 @@ class TestHappyPaths:
         monkeypatch.setenv("COLUMNS", "80")
         assert run_cli(["decide", "--help"]) == 0
         assert capsys.readouterr().out == _DECIDE_HELP
+
+    def test_every_default_epsilon_is_the_one_name(self):
+        # The help spells it as a literal, since %(default)s would print 1e-09.
+        assert float(re.search(r"--epsilon EPSILON .*\(default: (\S+)\)", _DECIDE_HELP)[1]) == EPSILON
+        argv = ["decide", "--input", "table.csv", "--method", "binary"]
+        defaults = [
+            *(inspect.signature(f).parameters["epsilon"].default
+              for f in (decide, rank_optimistic, rank_conservative, rank_combined)),
+            cli.build_parser().parse_args(argv).epsilon,
+            cli._plain_options(argv).epsilon,
+        ]
+        # is, not ==: a copied 1e-9 literal is an equal float but another object.
+        assert all(default is EPSILON for default in defaults)
 
 
 _DECIDE_HELP = """\

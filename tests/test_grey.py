@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from softchoice.grey import GreyNumber
+from softchoice.neutrosophic import Triplet
 
 
 class TestConstruction:
@@ -81,9 +82,16 @@ class TestScaling:
         with pytest.raises(ValueError, match="positive"):
             GreyNumber(0.1, 0.2).scale(k)
 
-    def test_interval_by_interval_product_rejected(self):
-        with pytest.raises(TypeError, match="not supported"):
-            GreyNumber(0.1, 0.2) * GreyNumber(0.3, 0.4)
+    @pytest.mark.parametrize("left, right", [
+        pytest.param(GreyNumber(0.1, 0.2), GreyNumber(0.3, 0.4), id="grey-by-grey"),
+        pytest.param(Triplet(0.1, 0.2, 0.3), Triplet(0.4, 0.5, 0.6), id="triplet-by-triplet"),
+        pytest.param(GreyNumber(0.1, 0.2), Triplet(0.4, 0.5, 0.6), id="grey-by-triplet"),
+    ])
+    def test_a_value_times_a_value_is_rejected(self, left, right):
+        # * is scale, for grey numbers as for triplets, so the right operand is the scalar.
+        with pytest.raises(TypeError) as excinfo:
+            left * right
+        assert str(excinfo.value) == f"scalar must be a real number, got {type(right).__name__}"
 
 
 class TestMidpoint:
