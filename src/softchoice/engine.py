@@ -19,7 +19,7 @@ from operator import attrgetter, itemgetter
 from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional, Set, Tuple, Union
 
 from ._checks import EPSILON, Frozen, checked_ids, checked_real
-from .grades import GradeScale, ScaleValidationError, UnknownGradeError, default_scale
+from .grades import GradeScale, UnknownGradeError, default_scale
 from .grey import GreyNumber
 from .neutrosophic import Triplet, mean
 
@@ -34,6 +34,9 @@ class BinCell(Frozen):
         if isinstance(value, bool) or value not in (0, 1):
             raise ValueError(f"binary cells hold 0 or 1, got {value!r}")
         object.__setattr__(self, "value", value)
+
+
+BINARY_CELLS = (BinCell(0), BinCell(1))  # cells are frozen, so every parsed or tabulated 0 or 1 shares one
 
 
 class GradeCell(Frozen):
@@ -411,11 +414,7 @@ def decide(
         if method is Method.BINARY:
             scores = choice_values_binary(table)
         else:
-            scale = default_scale() if scale is None else scale
-            violations = scale.validate()
-            if violations:
-                raise ScaleValidationError(violations)
-            scores = choice_values_grey(table, scale)
+            scores = choice_values_grey(table, default_scale() if scale is None else scale)
         return DecisionReport(method, scores, tuple(_argmax_within(scores, epsilon)))
 
     criterion = Criterion.COMBINED if criterion is None else Criterion(criterion)

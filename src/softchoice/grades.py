@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 from ._checks import Frozen
 from .grey import GreyNumber
@@ -33,11 +33,11 @@ class ScaleValidationError(ValueError):
 class GradeScale(Frozen):
     """Ordered (label, interval) entries, best grade first.
 
-    Construction only checks shape; :meth:`validate` reports the semantic
-    rules (unit-interval containment, pairwise disjointness, strictly
-    descending lower endpoints, unique labels) so that a faulty
-    user-supplied scale can be diagnosed in full rather than rejected at
-    the first problem.
+    Construction checks the shape of each entry, then the rules of a scale:
+    unique labels, intervals inside [0, 1], strictly descending lower
+    endpoints and pairwise disjoint intervals. A scale that breaks any rule
+    is not built: one :class:`ScaleValidationError` names every violation,
+    so that a faulty user-supplied scale is diagnosed in full.
     """
 
     __match_args__ = ("entries",)
@@ -56,9 +56,31 @@ class GradeScale(Frozen):
                 raise ValueError(f"grade labels must be non-empty strings, got {label!r}")
             if not isinstance(interval, GreyNumber):
                 raise TypeError(f"grade {label!r} must map to a GreyNumber, got {type(interval).__name__}")
+        violations = []
+        seen = set()
+        for label, _ in entries:
+            if label in seen:
+                violations.append(f"duplicate grade label {label!r}")
+            seen.add(label)
+        for label, interval in entries:
+            if interval.lower < 0.0 or interval.upper > 1.0:
+                violations.append(f"grade {label!r} interval {interval} escapes [0, 1]")
+        for (label_a, a), (label_b, b) in zip(entries, entries[1:]):
+            if not a.lower > b.lower:
+                violations.append(
+                    f"grades {label_a!r} and {label_b!r} are not in strictly "
+                    f"descending order of lower endpoint"
+                )
+        # In descending order of lower endpoint, any overlap shows between neighbours.
+        by_lower = sorted(enumerate(entries), key=lambda item: item[1][1].lower, reverse=True)
+        for (i, (label_a, a)), (j, (label_b, b)) in zip(by_lower, by_lower[1:]):
+            if a.lower <= b.upper:
+                first, second = (label_a, label_b) if i < j else (label_b, label_a)
+                violations.append(f"grades {first!r} and {second!r} overlap")
+        if violations:
+            raise ScaleValidationError(violations)
         object.__setattr__(self, "entries", entries)
-        # Not a field, so ==, hash, repr and pickle skip it; a repeated label finds its first entry.
-        object.__setattr__(self, "_index", dict(reversed(entries)))
+        object.__setattr__(self, "_index", dict(entries))  # not a field, so ==, hash, repr and pickle skip it
 
     @property
     def labels(self) -> Tuple[str, ...]:
@@ -72,31 +94,6 @@ class GradeScale(Frozen):
             return self._index[label]
         except (KeyError, TypeError):  # TypeError: unhashable, so equal to no label
             raise UnknownGradeError(label, self.labels) from None
-
-    def validate(self) -> List[str]:
-        """Return every violated rule, or an empty list when the scale is sound."""
-        violations = []
-        seen = set()
-        for label in self.labels:
-            if label in seen:
-                violations.append(f"duplicate grade label {label!r}")
-            seen.add(label)
-        for label, interval in self.entries:
-            if interval.lower < 0.0 or interval.upper > 1.0:
-                violations.append(f"grade {label!r} interval {interval} escapes [0, 1]")
-        for (label_a, a), (label_b, b) in zip(self.entries, self.entries[1:]):
-            if not a.lower > b.lower:
-                violations.append(
-                    f"grades {label_a!r} and {label_b!r} are not in strictly "
-                    f"descending order of lower endpoint"
-                )
-        # In descending order of lower endpoint, any overlap shows between neighbours.
-        by_lower = sorted(enumerate(self.entries), key=lambda item: item[1][1].lower, reverse=True)
-        for (i, (label_a, a)), (j, (label_b, b)) in zip(by_lower, by_lower[1:]):
-            if a.lower <= b.upper:
-                first, second = (label_a, label_b) if i < j else (label_b, label_a)
-                violations.append(f"grades {first!r} and {second!r} overlap")
-        return violations
 
 
 def default_scale() -> GradeScale:

@@ -5,9 +5,7 @@ from __future__ import annotations
 from typing import Mapping, Sequence
 
 from ._checks import Frozen, checked_ids, checked_real
-from .engine import BinCell, DecisionTable
-
-_BINARY = (BinCell(0), BinCell(1))  # cells are frozen, so every tabulated 0 or 1 shares one
+from .engine import BINARY_CELLS, BinCell, DecisionTable
 
 
 class SoftSet(Frozen):
@@ -50,7 +48,7 @@ class SoftSet(Frozen):
     def tabulate(self) -> DecisionTable:
         """Tabular form: cell (x, e) is 1 exactly when x satisfies e; ValueError if either list is empty."""
         rows = tuple(
-            tuple(_BINARY[element in self.value_sets[parameter]] for parameter in self.parameters)
+            tuple(BINARY_CELLS[element in self.value_sets[parameter]] for parameter in self.parameters)
             for element in self.universe
         )
         return DecisionTable(self.universe, self.parameters, rows)

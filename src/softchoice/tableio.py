@@ -27,6 +27,7 @@ import re
 from typing import Optional
 
 from .engine import (
+    BINARY_CELLS,
     BinCell,
     Cell,
     DecisionReport,
@@ -36,7 +37,7 @@ from .engine import (
     Method,
     NeutroCell,
 )
-from .grades import GradeScale, ScaleValidationError
+from .grades import GradeScale
 from .grey import GreyNumber
 from .neutrosophic import Triplet
 
@@ -76,7 +77,7 @@ _BRACKETED = {
     "[": ("]", "interval", GreyCell, GreyNumber, re.compile(rf"\[{_NUMBER};{_NUMBER}\]\Z")),
     "(": (")", "triplet", NeutroCell, Triplet, re.compile(rf"\({_NUMBER};{_NUMBER};{_NUMBER}\)\Z")),
 }
-_BINARY = {"0": BinCell(0), "1": BinCell(1)}  # cells are frozen, so every 0 or 1 shares one
+_BINARY = dict(zip("01", BINARY_CELLS))  # token -> its shared cell
 _SHARED_NUMBERS = 4096  # distinct number tokens one parse_table call shares a float for
 
 
@@ -214,7 +215,7 @@ def write_table(table: DecisionTable) -> str:
 
 
 def parse_scale(text: str, source: str = "<scale>") -> GradeScale:
-    """Parse and validate a grade-scale document."""
+    """Parse a grade-scale document; GradeScale raises ScaleValidationError for a broken rule."""
     entries = []
     for line_number, line in _content_lines(text):
         for index, token in enumerate(line.split(), start=1):
@@ -231,11 +232,7 @@ def parse_scale(text: str, source: str = "<scale>") -> GradeScale:
                 raise ParseError(str(exc), source=source, line=line_number, field=index) from None
     if not entries:
         raise ParseError("empty scale document", source=source)
-    scale = GradeScale(tuple(entries))
-    violations = scale.validate()
-    if violations:
-        raise ScaleValidationError(violations)
-    return scale
+    return GradeScale(tuple(entries))
 
 
 def write_scale(scale: GradeScale) -> str:

@@ -29,9 +29,6 @@ class TestDefaultScale:
         assert scale["A"] == GreyNumber(0.85, 1.0)
         assert scale["D"] == GreyNumber(0.5, 0.59)
 
-    def test_is_valid(self):
-        assert default_scale().validate() == []
-
 
 class TestLookup:
     def test_unknown_label_raises_a_named_error(self):
@@ -55,10 +52,6 @@ class TestLookup:
         with pytest.raises(UnknownGradeError):
             default_scale()["a"]
 
-    def test_a_repeated_label_finds_its_first_entry(self):
-        scale = GradeScale((("A", GreyNumber(0.9, 1.0)), ("A", GreyNumber(0.1, 0.2))))
-        assert scale["A"] == GreyNumber(0.9, 1.0)
-
     def test_a_non_label_is_not_a_member(self):
         assert ["A"] not in default_scale()
         with pytest.raises(UnknownGradeError):
@@ -69,56 +62,43 @@ class TestLookup:
         assert repr(default_scale()).startswith("GradeScale(entries=((")
 
 
+# Entries that break the rules, and every violation their construction names, in order.
+_BROKEN = [
+    pytest.param((("A", GreyNumber(0.9, 1.0)), ("B", GreyNumber(0.85, 0.95))),
+                 ["grades 'A' and 'B' overlap"], id="overlap"),
+    pytest.param((("A", GreyNumber(0.5, 1.0)), ("B", GreyNumber(0.0, 0.5))),
+                 ["grades 'A' and 'B' overlap"], id="touching-intervals-overlap"),
+    pytest.param((("A", GreyNumber(0.9, 1.2)), ("B", GreyNumber(0.1, 0.2))),
+                 ["grade 'A' interval [0.9;1.2] escapes [0, 1]"], id="escapes-above"),
+    pytest.param((("X", GreyNumber(1.2, 1.5)),),
+                 ["grade 'X' interval [1.2;1.5] escapes [0, 1]"], id="escapes-alone"),
+    pytest.param((("F", GreyNumber(0.0, 0.1)), ("A", GreyNumber(0.9, 1.0))),
+                 ["grades 'F' and 'A' are not in strictly descending order of lower endpoint"],
+                 id="ascending"),
+    pytest.param((("A", GreyNumber(0.5, 1.0)), ("B", GreyNumber(0.5, 0.6))),
+                 ["grades 'A' and 'B' are not in strictly descending order of lower endpoint",
+                  "grades 'A' and 'B' overlap"], id="equal-lower-endpoints"),
+    pytest.param((("A", GreyNumber(0.9, 1.0)), ("A", GreyNumber(0.1, 0.2))),
+                 ["duplicate grade label 'A'"], id="duplicate-label"),
+    pytest.param((("A", GreyNumber(0.8, 1.0)), ("B", GreyNumber(0.6, 0.8)), ("C", GreyNumber(0.5, 0.7))),
+                 ["grades 'A' and 'B' overlap", "grades 'B' and 'C' overlap"],
+                 id="overlaps-in-scale-order"),
+    pytest.param((("A", GreyNumber(0.5, 0.6)), ("B", GreyNumber(0.4, 0.45)), ("C", GreyNumber(0.0, 1.0))),
+                 ["grades 'B' and 'C' overlap"], id="overlap-through-a-neighbour"),
+    pytest.param((("A", GreyNumber(0.5, 1.0)), ("A", GreyNumber(-0.5, 0.7)), ("B", GreyNumber(0.6, 0.9))),
+                 ["duplicate grade label 'A'", "grade 'A' interval [-0.5;0.7] escapes [0, 1]",
+                  "grades 'A' and 'B' are not in strictly descending order of lower endpoint",
+                  "grades 'A' and 'B' overlap", "grades 'A' and 'A' overlap"], id="every-rule-in-rule-order"),
+]
+
+
 class TestValidation:
-    def test_overlapping_intervals_reported(self):
-        scale = GradeScale((
-            ("A", GreyNumber(0.9, 1.0)),
-            ("B", GreyNumber(0.85, 0.95)),
-        ))
-        violations = scale.validate()
-        assert any("overlap" in violation for violation in violations)
-
-    def test_alternative_scale_is_valid(self):
-        assert ALTERNATIVE_SCALE.validate() == []
-
-    def test_interval_escaping_unit_range_reported(self):
-        scale = GradeScale((("A", GreyNumber(0.9, 1.2)), ("B", GreyNumber(0.1, 0.2))))
-        assert any("escapes" in violation for violation in scale.validate())
-
-    def test_escaping_interval_message(self):
-        scale = GradeScale((("X", GreyNumber(1.2, 1.5)),))
-        assert scale.validate() == ["grade 'X' interval [1.2;1.5] escapes [0, 1]"]
-
-    def test_ascending_order_reported(self):
-        scale = GradeScale((("F", GreyNumber(0.0, 0.1)), ("A", GreyNumber(0.9, 1.0))))
-        assert any("descending" in violation for violation in scale.validate())
-
-    def test_equal_lower_endpoints_break_the_order_and_overlap(self):
-        scale = GradeScale((("A", GreyNumber(0.5, 1.0)), ("B", GreyNumber(0.5, 0.6))))
-        assert scale.validate() == [
-            "grades 'A' and 'B' are not in strictly descending order of lower endpoint",
-            "grades 'A' and 'B' overlap",
-        ]
-
-    def test_duplicate_labels_reported(self):
-        scale = GradeScale((("A", GreyNumber(0.9, 1.0)), ("A", GreyNumber(0.1, 0.2))))
-        assert any("duplicate" in violation for violation in scale.validate())
-
-    def test_touching_closed_intervals_count_as_overlap(self):
-        scale = GradeScale((("A", GreyNumber(0.5, 1.0)), ("B", GreyNumber(0.0, 0.5))))
-        assert any("overlap" in violation for violation in scale.validate())
-
-    def test_overlaps_are_reported_between_neighbours_in_scale_order(self):
-        scale = GradeScale((
-            ("A", GreyNumber(0.8, 1.0)), ("B", GreyNumber(0.6, 0.8)), ("C", GreyNumber(0.5, 0.7)),
-        ))
-        assert scale.validate() == ["grades 'A' and 'B' overlap", "grades 'B' and 'C' overlap"]
-
-    def test_an_overlap_of_non_neighbours_is_reported_through_a_neighbour(self):
-        scale = GradeScale((
-            ("A", GreyNumber(0.5, 0.6)), ("B", GreyNumber(0.4, 0.45)), ("C", GreyNumber(0.0, 1.0)),
-        ))
-        assert scale.validate() == ["grades 'B' and 'C' overlap"]
+    @pytest.mark.parametrize("entries, violations", _BROKEN)
+    def test_a_broken_scale_is_not_built(self, entries, violations):
+        with pytest.raises(ScaleValidationError) as excinfo:
+            GradeScale(entries)
+        assert list(excinfo.value.violations) == violations
+        assert str(excinfo.value) == "invalid grade scale: " + "; ".join(violations)
 
     @settings(max_examples=300)
     @given(st.lists(
@@ -134,7 +114,12 @@ class TestValidation:
             a.lower <= b.upper and b.lower <= a.upper
             for i, (_, a) in enumerate(entries) for _, b in entries[i + 1:]
         )
-        reported = GradeScale(tuple(entries)).validate()
+        try:
+            GradeScale(tuple(entries))
+        except ScaleValidationError as exc:
+            reported = exc.violations
+        else:
+            reported = ()
         assert any(violation.endswith(" overlap") for violation in reported) == pairwise
 
     def test_a_large_invalid_scale_gets_a_linear_size_message(self):
@@ -144,7 +129,6 @@ class TestValidation:
 
     def test_validated_scales_map_distinct_labels_to_disjoint_intervals(self):
         for scale in (default_scale(), ALTERNATIVE_SCALE):
-            assert scale.validate() == []
             entries = scale.entries
             for i, (_, a) in enumerate(entries):
                 assert 0.0 <= a.lower <= a.upper <= 1.0

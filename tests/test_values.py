@@ -27,7 +27,7 @@ from softchoice.engine import (
     GreyCell,
     Method,
     NeutroCell,
-    decide,
+    choice_values_grey,
 )
 from softchoice.grades import GradeScale, ScaleValidationError, default_scale
 from softchoice.grey import GreyNumber
@@ -223,7 +223,7 @@ def test_dataclass_fields_are_made_on_first_use():
 
 
 # Guards that no other test reaches, with the exception and message each raises.
-_UNORDERED_SCALE = GradeScale((("A", GreyNumber(0.5, 1.0)), ("B", GreyNumber(0.6, 0.9))))
+_ESCAPING_ENTRIES = (("A", GreyNumber(0.5, 2.0)),)  # one cell A would score 1.25 through it
 _REJECTED = [
     pytest.param(lambda: BinCell(2), ValueError, "binary cells hold 0 or 1, got 2", id="bin-2"),
     pytest.param(lambda: BinCell(True), ValueError, "binary cells hold 0 or 1, got True", id="bin-bool"),
@@ -236,11 +236,19 @@ _REJECTED = [
     pytest.param(lambda: NeutroCell((1, 0, 0)), TypeError,
                  "neutrosophic cells hold a Triplet, got tuple", id="neutro-tuple"),
     pytest.param(
-        lambda: decide(DecisionTable(("c",), ("e1",), ((BinCell(1),),)), "grey", scale=_UNORDERED_SCALE),
+        lambda: GradeScale((("A", GreyNumber(0.5, 1.0)), ("B", GreyNumber(0.6, 0.9)))),
         ScaleValidationError,
         "invalid grade scale: grades 'A' and 'B' are not in strictly descending order of lower "
         "endpoint; grades 'A' and 'B' overlap",
-        id="decide-invalid-scale",
+        id="scale-invalid",
+    ),
+    pytest.param(lambda: dataclasses.replace(default_scale(), entries=_ESCAPING_ENTRIES), ScaleValidationError,
+                 "invalid grade scale: grade 'A' interval [0.5;2.0] escapes [0, 1]", id="scale-replace-invalid"),
+    pytest.param(
+        lambda: choice_values_grey(DecisionTable(("c",), ("e1",), ((GradeCell("A"),),)),
+                                   GradeScale(_ESCAPING_ENTRIES)),
+        ScaleValidationError, "invalid grade scale: grade 'A' interval [0.5;2.0] escapes [0, 1]",
+        id="grey-values-invalid-scale",
     ),
     pytest.param(lambda: GradeScale((("A",),)), ValueError,
                  "scale entries are (label, interval) pairs, got ('A',)", id="scale-entry-shape"),
