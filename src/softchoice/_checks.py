@@ -28,6 +28,7 @@ class Frozen:
     a frozen dataclass would generate. Its dataclass fields are made on first use, so ``import
     softchoice`` loads no ``dataclasses`` while ``dataclasses.fields``, ``replace`` and ``astuple``
     work. It pickles and copies through its constructor, so its ``__init__`` checks run again.
+    The hot constructors (grey and triplet values and cells) set slots through setters captured once.
     """
 
     __slots__ = ()

@@ -60,7 +60,7 @@ class GreyCell(Frozen):
     def __init__(self, interval: GreyNumber) -> None:
         if not isinstance(interval, GreyNumber):
             raise TypeError(f"grey cells hold a GreyNumber, got {type(interval).__name__}")
-        object.__setattr__(self, "interval", interval)
+        _set_interval(self, interval)
 
 
 class NeutroCell(Frozen):
@@ -72,8 +72,10 @@ class NeutroCell(Frozen):
     def __init__(self, triplet: Triplet) -> None:
         if not isinstance(triplet, Triplet):
             raise TypeError(f"neutrosophic cells hold a Triplet, got {type(triplet).__name__}")
-        object.__setattr__(self, "triplet", triplet)
+        _set_triplet(self, triplet)
 
+
+_set_interval, _set_triplet = GreyCell.interval.__set__, NeutroCell.triplet.__set__
 
 Cell = Union[BinCell, GradeCell, GreyCell, NeutroCell]
 Score = Union[int, float, Triplet]
@@ -194,20 +196,24 @@ def _fold_rows(
 
     ``contributions`` maps each cell class the method accepts to the
     function that turns such a cell into a part; the parts come in column
-    order. A cell of any other class is a mismatch, reported with ``hint``.
+    order, one lookup and one call per cell. A cell of any other class is a
+    mismatch, reported with ``hint``. A row that raises ``KeyError`` (such a
+    cell or an unknown grade) is walked again to name its first offender.
     """
     for candidate, row in zip(table.candidates, table.cells):
-        parts: list = []
-        for parameter, cell in zip(table.parameters, row):
-            contribute = contributions.get(type(cell))
-            if contribute is None:
-                found = _DESCRIBE[type(cell)](cell)
-                raise CellMismatchError(method.value, candidate, parameter, found, hint)
-            try:
-                parts.append(contribute(cell))
-            except UnknownGradeError as exc:  # the scale lookup cannot name the cell
-                exc.cell = (candidate, parameter)
-                raise
+        try:
+            parts = [contributions[type(cell)](cell) for cell in row]
+        except KeyError:
+            for parameter, cell in zip(table.parameters, row):
+                if type(cell) not in contributions:
+                    found = _DESCRIBE[type(cell)](cell)
+                    raise CellMismatchError(method.value, candidate, parameter, found, hint) from None
+                try:
+                    contributions[type(cell)](cell)
+                except UnknownGradeError as exc:  # the scale lookup cannot name the cell
+                    exc.cell = (candidate, parameter)
+                    raise
+            raise
         yield candidate, parts
 
 

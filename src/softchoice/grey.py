@@ -25,8 +25,8 @@ class GreyNumber(Frozen):
             upper = checked_real(upper, "upper endpoint")
             if lower > upper:
                 raise ValueError(f"invalid interval: lower {lower!r} > upper {upper!r}")
-        object.__setattr__(self, "lower", lower)
-        object.__setattr__(self, "upper", upper)
+        _set_lower(self, lower)
+        _set_upper(self, upper)
 
     def __str__(self) -> str:
         """The interval's table token, ``[lower;upper]``, at full round-trip precision."""
@@ -50,3 +50,6 @@ class GreyNumber(Frozen):
 
     def width(self) -> float:
         return self.upper - self.lower
+
+
+_set_lower, _set_upper = GreyNumber.lower.__set__, GreyNumber.upper.__set__

@@ -35,9 +35,9 @@ class TripletAccumulator(Frozen):
                 checked_real(value, label, low=0.0, high=self._high)
                 for value, label in zip((truth, indeterminacy, falsity), self._labels)
             )
-        object.__setattr__(self, "truth", truth)
-        object.__setattr__(self, "indeterminacy", indeterminacy)
-        object.__setattr__(self, "falsity", falsity)
+        _set_truth(self, truth)
+        _set_indeterminacy(self, indeterminacy)
+        _set_falsity(self, falsity)
 
     def __str__(self) -> str:
         """The table token, ``(truth;indeterminacy;falsity)``.
@@ -66,6 +66,10 @@ class TripletAccumulator(Frozen):
     def as_triplet(self) -> "Triplet":
         """Reinterpret as a boxed triplet; fails if any component exceeds 1."""
         return Triplet(self.truth, self.indeterminacy, self.falsity)
+
+
+_set_truth, _set_indeterminacy, _set_falsity = (
+    getattr(TripletAccumulator, name).__set__ for name in TripletAccumulator.__slots__)
 
 
 class Triplet(TripletAccumulator):

@@ -71,12 +71,10 @@ class ParseError(ValueError):
         super().__init__(f"{location}: {message}")
 
 
-# Opening bracket -> (closing bracket, token kind, cell type, value type,
-# the whole well-formed token with one group per number).
-_BRACKETED = {
-    "[": ("]", "interval", GreyCell, GreyNumber, re.compile(rf"\[{_NUMBER};{_NUMBER}\]\Z")),
-    "(": (")", "triplet", NeutroCell, Triplet, re.compile(rf"\({_NUMBER};{_NUMBER};{_NUMBER}\)\Z")),
-}
+_INTERVAL = re.compile(rf"\[{_NUMBER};{_NUMBER}\]\Z")  # the whole well-formed token, one group per number
+_TRIPLET = re.compile(rf"\({_NUMBER};{_NUMBER};{_NUMBER}\)\Z")
+# Opening bracket -> (closing bracket, token kind, whole-token pattern), for the error messages.
+_BRACKETED = {"[": ("]", "interval", _INTERVAL), "(": (")", "triplet", _TRIPLET)}
 _BINARY = dict(zip("01", BINARY_CELLS))  # token -> its shared cell
 _SHARED_NUMBERS = 4096  # distinct number tokens one parse_table call shares a float for
 
@@ -89,34 +87,37 @@ class _Numbers(dict):
 
 
 def _parse_cell(token: str, shared: dict, number=float) -> Cell:
-    """The cell of ``token``, from ``shared`` if there; ``shared`` keeps each new grade cell."""
-    cell = shared.get(token)
-    if cell is not None:
-        return cell
-    bracketed = _BRACKETED.get(token[:1])
-    if bracketed is not None:
-        close, kind, cell_type, value_type, pattern = bracketed
-        match = pattern.match(token)
-        if match:
-            return cell_type(value_type(*map(number, match.groups())))
-        if not token.endswith(close):
-            raise ValueError(f"malformed {kind} token {token!r}")
-        parts = token[1:-1].split(";")
-        if len(parts) != pattern.groups:
-            raise ValueError(f"{kind} token {token!r} needs {pattern.groups} components, got {len(parts)}")
-        # Some part is a malformed number, or the pattern would have matched.
-        bad = next(part for part in parts if not re.fullmatch(_NUMBER, part))
-        raise ValueError(f"malformed number {bad!r} (nonnegative decimal expected)")
+    """The cell of a token that ``shared`` (0, 1, grades read so far) lacks; it keeps each new grade cell.
+
+    A well-formed interval or triplet is one whole-token match, then its value and cell are built.
+    """
+    match = _INTERVAL.match(token)
+    if match:
+        return GreyCell(GreyNumber(number(match[1]), number(match[2])))
+    match = _TRIPLET.match(token)
+    if match:
+        return NeutroCell(Triplet(number(match[1]), number(match[2]), number(match[3])))
     if _LABEL_RE.match(token):
         cell = shared[token] = GradeCell(token)
         return cell
-    raise ValueError(f"malformed cell token {token!r}")
+    bracketed = _BRACKETED.get(token[:1])
+    if bracketed is None:
+        raise ValueError(f"malformed cell token {token!r}")
+    close, kind, pattern = bracketed
+    if not token.endswith(close):
+        raise ValueError(f"malformed {kind} token {token!r}")
+    parts = token[1:-1].split(";")
+    if len(parts) != pattern.groups:
+        raise ValueError(f"{kind} token {token!r} needs {pattern.groups} components, got {len(parts)}")
+    # Some part is a malformed number, or the pattern would have matched.
+    bad = next(part for part in parts if not re.fullmatch(_NUMBER, part))
+    raise ValueError(f"malformed number {bad!r} (nonnegative decimal expected)")
 
 
 def parse_cell(token: str) -> Cell:
     """Parse a single cell token."""
     try:
-        return _parse_cell(token, dict(_BINARY))
+        return _BINARY.get(token) or _parse_cell(token, {})
     except ValueError as exc:
         raise ParseError(str(exc)) from None
 
@@ -130,9 +131,9 @@ def format_cell(cell: Cell) -> str:
     else:
         token = str(cell.interval if isinstance(cell, GreyCell) else cell.triplet)
     try:
-        if _parse_cell(token, dict(_BINARY)) == cell:
+        if parse_cell(token) == cell:
             return token
-    except ValueError:
+    except ValueError:  # a ParseError
         pass
     raise ValueError(f"cell {cell!r} has no token that reads back as it (wrote {token!r})")
 
@@ -165,6 +166,8 @@ def parse_table(text: str, source: str = "<table>") -> DecisionTable:
 
     Within one call, equal grade labels share one cell and equal number tokens one float,
     up to _SHARED_NUMBERS distinct numbers; nothing is kept from one call to the next.
+    Each cell is one lookup in that dict (no cell is false), or one _parse_cell on a miss.
+    A printable line without U+0020 is not stripped: all other whitespace is unprintable.
     """
     lines = _content_lines(text)
     header_line, line = next(lines, (None, None))
@@ -186,7 +189,9 @@ def parse_table(text: str, source: str = "<table>") -> DecisionTable:
     numbers = _Numbers()  # until it holds _SHARED_NUMBERS tokens; later rows call float itself
     for line_number, line in lines:
         where = {"source": source, "line": line_number}
-        fields = [part.strip() for part in line.split(",")]
+        fields = line.split(",")
+        if not line.isprintable() or " " in line:
+            fields = [part.strip() for part in fields]
         if len(fields) != width:
             raise ParseError(f"expected {width} fields, got {len(fields)}", **where)
         _add_ident(fields[0], "candidate", candidates, field=1, **where)
@@ -194,7 +199,7 @@ def parse_table(text: str, source: str = "<table>") -> DecisionTable:
         cells = []
         try:
             for token in fields[1:]:
-                cells.append(_parse_cell(token, shared, number))
+                cells.append(shared.get(token) or _parse_cell(token, shared, number))
         except ValueError as exc:  # the failing token is the one after the cells read so far
             raise ParseError(str(exc), field=len(cells) + 2, **where) from None
         cell_rows.append(tuple(cells))
@@ -227,7 +232,7 @@ def parse_scale(text: str, source: str = "<scale>") -> GradeScale:
                 )
             label, interval_token = match.groups()
             try:
-                entries.append((label, _parse_cell(interval_token, dict(_BINARY)).interval))
+                entries.append((label, _parse_cell(interval_token, {}).interval))
             except ValueError as exc:
                 raise ParseError(str(exc), source=source, line=line_number, field=index) from None
     if not entries:

@@ -14,6 +14,7 @@ from softchoice.engine import (
     _risk_notes,
     choice_values_binary,
     choice_values_grey,
+    choice_values_neutrosophic,
     decide,
     rank_combined,
     rank_conservative,
@@ -440,3 +441,52 @@ class TestMismatchMessages:
         assert str(excinfo.value) == (
             f"method '{method}' cannot use cell (c, e): found {found}; {hint}"
         )
+
+
+# A cell of each kind, with the way a mismatch message describes it; "Z" is on no scale.
+_FOLD_CELLS = (
+    (BinCell(0), "binary 0"), (BinCell(1), "binary 1"), (GradeCell("A"), "grade 'A'"),
+    (GradeCell("Z"), "grade 'Z'"), (GreyCell(GreyNumber(0.6, 0.74)), "interval [0.6;0.74]"),
+    (NeutroCell(Triplet(0.5, 0.1, 1)), "triplet (0.5;0.1;1.0)"),
+)
+_FOLDS = {  # method -> (its scorer, the cell classes it accepts, its mismatch hint)
+    "binary": (choice_values_binary, {BinCell}, "only 0/1 cells are allowed"),
+    "grey": (lambda table: choice_values_grey(table, default_scale()), {BinCell, GradeCell, GreyCell},
+             "only 0/1, grade and interval cells are allowed"),
+    "neutrosophic": (choice_values_neutrosophic, {BinCell, NeutroCell}, _NEUTROSOPHIC_HINT),
+}
+
+
+def _first_offence(method, candidates, parameters, grid):
+    """The oracle: (error class, cell, message) of the first offending cell in row-major order."""
+    _, accepted, hint = _FOLDS[method]
+    for candidate, row in zip(candidates, grid):
+        for parameter, (cell, found) in zip(parameters, row):
+            if type(cell) not in accepted:
+                return (CellMismatchError, (candidate, parameter),
+                        f"method '{method}' cannot use cell ({candidate}, {parameter}): found {found}; {hint}")
+            if cell == GradeCell("Z"):
+                return (UnknownGradeError, (candidate, parameter), f"unknown grade 'Z' in cell "
+                        f"({candidate}, {parameter}); the scale defines A, B, C, D, F")
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(method=st.sampled_from(sorted(_FOLDS)), data=st.data())
+def test_a_failed_fold_names_its_first_offending_cell_in_row_major_order(method, data):
+    rows = data.draw(st.integers(1, 4), label="rows")
+    cols = data.draw(st.integers(1, 4), label="cols")
+    grid = data.draw(st.lists(st.lists(st.sampled_from(_FOLD_CELLS), min_size=cols, max_size=cols),
+                              min_size=rows, max_size=rows), label="grid")
+    candidates, parameters = tuple(f"c{i}" for i in range(rows)), tuple(f"e{j}" for j in range(cols))
+    table = DecisionTable(candidates, parameters, [[cell for cell, _ in row] for row in grid])
+    score = _FOLDS[method][0]
+    expected = _first_offence(method, candidates, parameters, grid)
+    if expected is None:
+        assert set(score(table)) == set(candidates)
+        return
+    with pytest.raises((CellMismatchError, UnknownGradeError)) as excinfo:
+        score(table)
+    error = excinfo.value
+    where = error.cell if isinstance(error, UnknownGradeError) else (error.candidate, error.parameter)
+    assert (type(error), where, str(error)) == expected

@@ -2,6 +2,7 @@ import dataclasses
 import pickle
 import random
 import re
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -160,12 +161,45 @@ class TestParseTableErrors:
             if i == bad_row:
                 bad_line = len(lines) + 1
             cells = [bad if (i, j) == (bad_row, bad_col) else data.draw(good) for j in range(cols)]
-            lines.append(",".join([f"c{i}", *cells]))
+            pad = data.draw(blank, label="padding")
+            lines.append(",".join(pad + field + pad for field in [f"c{i}", *cells]))
         bom = data.draw(st.sampled_from(["", "\ufeff"]), label="bom")
         end = data.draw(st.sampled_from([newline, ""]), label="final line end")
         error = self._error(bom + newline.join(lines) + end)
         assert (error.line, error.field) == (bad_line, bad_col + 2)
         assert str(error).startswith(f"bad.csv:{bad_line} field {bad_col + 2}: ")
+
+    @given(data=st.data())
+    def test_whitespace_around_fields_changes_nothing(self, data):
+        rows = data.draw(st.integers(min_value=1, max_value=3), label="rows")
+        cols = data.draw(st.integers(min_value=1, max_value=3), label="cols")
+        token = st.sampled_from(["0", "1", "A", "[0.2;0.4]", "(0.1;0.2;0.3)", "2", "(0.5;0.5)"])
+        plain = [["", *(f"e{j}" for j in range(cols))]]
+        plain += [[f"c{i}", *(data.draw(token) for _ in range(cols))] for i in range(rows)]
+        alphabets = st.sampled_from([" ", _PADDING.replace(" ", ""), _PADDING])
+        padded = []
+        for row in plain:  # each line padded with spaces only, with no space, or with both
+            pad = st.text(alphabet=data.draw(alphabets, label="padding"), max_size=3)
+            padded.append([data.draw(pad) + field + data.draw(pad) for field in row])
+        twin, doc = ("\n".join(map(",".join, lines)) + "\n" for lines in (plain, padded))
+        try:
+            expected = parse_table(twin, source="bad.csv")
+        except ParseError as error:
+            padded_error = self._error(doc)
+            assert (padded_error.line, padded_error.field, str(padded_error)) == (
+                error.line, error.field, str(error))
+        else:
+            assert parse_table(doc, source="bad.csv") == expected
+
+
+# Every str.isspace code point, 29 on 3.10-3.13; a line feed ends a line, so the rest may pad a field.
+_WHITESPACE = "".join(filter(str.isspace, map(chr, range(sys.maxunicode + 1))))
+_PADDING = _WHITESPACE.replace("\n", "")
+
+
+def test_every_whitespace_code_point_but_the_space_is_unprintable():
+    # parse_table skips the strip of a printable line without U+0020 on this premise.
+    assert [char for char in _WHITESPACE if char.isprintable()] == [" "]
 
 
 # The bracketed-token reader as it was before whole-token patterns: it stays here
