@@ -41,11 +41,21 @@ class _InvalidInput(Exception):
     pass
 
 
-# The flags of ``decide``, each with its choices in the order that help and usage errors list them.
+# The flags of ``decide``: each entry is one ``add_argument`` call's keyword arguments, the attribute
+# is the flag without its dashes, and choices go in the order that help and usage errors list them.
 _FLAGS = {
-    "--input": None, "--method": tuple(method.value for method in Method), "--scale": None,
-    "--criterion": tuple(criterion.value for criterion in Criterion), "--epsilon": None,
-    "--format": ("text", "json"), "--output": None,
+    "--input": dict(required=True, help="table document to score"),
+    "--method": dict(required=True, choices=tuple(m.value for m in Method), help="aggregation method"),
+    "--scale": dict(
+        metavar="PATH", help="grade-scale document (grey method only; built-in scale when omitted)",
+    ),
+    "--criterion": dict(
+        choices=tuple(c.value for c in Criterion),
+        help="ranking criterion (neutrosophic method only; default: combined)",
+    ),
+    "--epsilon": dict(type=float, default=EPSILON, help="tie tolerance for winner detection (default: 1e-9)"),
+    "--format": dict(default="text", choices=("text", "json"), help="report format (default: text)"),
+    "--output": dict(metavar="PATH", help="write the report here instead of standard output"),
 }
 
 
@@ -79,31 +89,8 @@ def build_parser() -> argparse.ArgumentParser:
             "                         [--output PATH]"
         ),
     )
-    decide_cmd.add_argument("--input", required=True, help="table document to score")
-    decide_cmd.add_argument(
-        "--method", required=True, choices=_FLAGS["--method"],
-        help="aggregation method",
-    )
-    decide_cmd.add_argument(
-        "--scale", default=None, metavar="PATH",
-        help="grade-scale document (grey method only; built-in scale when omitted)",
-    )
-    decide_cmd.add_argument(
-        "--criterion", default=None, choices=_FLAGS["--criterion"],
-        help="ranking criterion (neutrosophic method only; default: combined)",
-    )
-    decide_cmd.add_argument(
-        "--epsilon", type=float, default=EPSILON,
-        help="tie tolerance for winner detection (default: 1e-9)",
-    )
-    decide_cmd.add_argument(
-        "--format", default="text", choices=_FLAGS["--format"], dest="format_",
-        metavar="{text,json}", help="report format (default: text)",
-    )
-    decide_cmd.add_argument(
-        "--output", default=None, metavar="PATH",
-        help="write the report here instead of standard output",
-    )
+    for flag, spec in _FLAGS.items():
+        decide_cmd.add_argument(flag, **spec)
     return parser
 
 
@@ -112,19 +99,21 @@ def _plain_options(argv: Sequence[Any]) -> Optional[SimpleNamespace]:
     if len(argv) % 2 == 0 or any(type(arg) is not str for arg in argv) or argv[0] != "decide":
         return None
     given = dict(zip(argv[1::2], argv[2::2]))
-    if 2 * len(given) != len(argv) - 1 or not {"--input", "--method"} <= given.keys() <= _FLAGS.keys():
+    required = {flag for flag, spec in _FLAGS.items() if spec.get("required")}
+    if 2 * len(given) != len(argv) - 1 or not required <= given.keys() <= _FLAGS.keys():
         return None  # a repeat, an unknown or abbreviated flag, or a required one missing
-    if any(value.startswith("-") or value not in (_FLAGS[flag] or (value,)) for flag, value in given.items()):
-        return None  # a value that argparse may read as a flag, or one outside the choices
-    try:
-        epsilon = float(given.get("--epsilon", EPSILON))
-    except ValueError:
-        return None
-    return SimpleNamespace(
-        command="decide", input=given["--input"], method=given["--method"],
-        scale=given.get("--scale"), criterion=given.get("--criterion"), epsilon=epsilon,
-        format_=given.get("--format", "text"), output=given.get("--output"),
-    )
+    options = SimpleNamespace(command="decide")
+    for flag, spec in _FLAGS.items():
+        value = given.get(flag, spec.get("default"))
+        if flag in given:
+            try:
+                value = spec.get("type", str)(value)
+            except ValueError:
+                return None
+            if given[flag].startswith("-") or value not in spec.get("choices", (value,)):
+                return None  # a value that argparse may read as a flag, or one that it rejects
+        setattr(options, flag[2:], value)
+    return options
 
 
 def _fail(code: int, message: str, usage: str = "") -> int:
@@ -141,7 +130,7 @@ def _load(path: str, parse: Callable[..., Any]) -> Any:
     try:
         with open(path, "r", encoding="utf-8", newline="") as handle:
             text = handle.read()
-    except (OSError, UnicodeDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # a decoding error, or a path with a NUL or a lone surrogate
         raise _InvalidInput(f"cannot read {path}: {exc}") from None
     try:
         return parse(text, source=path)
@@ -251,19 +240,16 @@ def run_cli(argv: Optional[Sequence[str]] = None) -> int:
     except (UnknownGradeError, ValueError) as exc:  # e.g. a grey score beyond the float range
         return _fail(EXIT_INVALID, f"{options.input}: {exc}")
 
-    rendered = (
-        tableio.render_report_text(report)
-        if options.format_ == "text"
-        else tableio.render_report_json(report)
-    )
+    render = tableio.render_report_text if options.format == "text" else tableio.render_report_json
+    rendered = render(report)
     try:
         if options.output is None:
             _write_stream(1, sys.stdout, rendered)
         else:
             _write_report(options.output, rendered)
-    except OSError as exc:  # its filename may be the temporary, which the user never named
+    except (OSError, ValueError) as exc:  # its filename may be the temporary, which the user never named
         target = "standard output" if options.output is None else options.output
-        return _fail(EXIT_INVALID, f"cannot write {target}: {exc.strerror or exc}")
+        return _fail(EXIT_INVALID, f"cannot write {target}: {getattr(exc, 'strerror', None) or exc}")
     return EXIT_OK
 
 

@@ -203,6 +203,22 @@ _ERROR_GOLDENS = {
         3, "error: {table}: method 'binary' cannot use cell (c1, e1): found grade 'A'; "
            "only 0/1 cells are allowed\n",
     ),
+    # No file can have a path with a NUL byte; each is named as the flag gave it. open() words the
+    # fault alike on every version, but 3.13 rewords the os.lstat of realpath, which --output meets first.
+    "nul-in-input": (
+        ",e1\nc1,1\n", None, ["--input", "a\x00b", "--method", "binary"],
+        2, "error: cannot read a\x00b: embedded null byte\n",
+    ),
+    "nul-in-scale": (
+        ",e1\nc1,A\n", None, ["--method", "grey", "--scale", "s\x00x"],
+        2, "error: cannot read s\x00x: embedded null byte\n",
+    ),
+    "nul-in-output": (
+        ",e1\nc1,1\n", None, ["--method", "binary", "--output", "o\x00p"],
+        2, "error: cannot write o\x00p: " + (
+            "lstat: embedded null character in path" if sys.version_info >= (3, 13) else "embedded null byte"
+        ) + "\n",
+    ),
 }
 
 
@@ -211,7 +227,7 @@ def test_error_report_is_byte_identical(tmp_path, capsys, case):
     table_doc, scale_doc, flags, expected_code, expected_err = _ERROR_GOLDENS[case]
     table, scale = tmp_path / "table.csv", tmp_path / "scale.txt"
     table.write_bytes(table_doc.encode())
-    argv = ["decide", "--input", str(table), *flags]
+    argv = ["decide", *(() if "--input" in flags else ("--input", str(table))), *flags]
     if scale_doc is not None:
         scale.write_bytes(scale_doc.encode())
         argv += ["--scale", str(scale)]
@@ -282,6 +298,16 @@ class TestOutputFile:
         expected = capsys.readouterr().out
         assert run_cli([*argv, "--output", str(target)]) == 0
         assert target.read_text(encoding="utf-8") == expected
+
+    def test_a_path_with_a_lone_surrogate_leaves_its_directory_as_it_was(self, docs, tmp_path, capsys):
+        before = sorted(os.listdir(tmp_path))
+        target = f"{tmp_path}{os.sep}report\ud800.txt"  # no file system name encodes to it
+        code = run_cli(["decide", "--input", docs["binary"], "--method", "binary", "--output", target])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"error: cannot write {tmp_path}{os.sep}report\\ud800.txt: ")
+        assert err.endswith(": surrogates not allowed\n")
+        assert sorted(os.listdir(tmp_path)) == before
 
     @pytest.mark.skipif(not os.path.exists(os.devnull), reason="no null device")
     def test_device_target_is_written_in_place(self, docs, capsys):
