@@ -10,6 +10,7 @@ into the box, where it provably belongs.
 from __future__ import annotations
 
 import enum
+from math import frexp, fsum, ldexp
 from typing import Iterable, Tuple
 
 from ._checks import FLOAT_MAX, Frozen, checked_real
@@ -83,13 +84,17 @@ class Triplet(TripletAccumulator):
 def mean(items: Iterable[Tuple[Triplet, int]]) -> Triplet:
     """Multiplicity-weighted mean of triplets, exact and rounded once.
 
-    A float ``n / 2**k`` in [0, 1] is ``n << (1074 - k)`` units of ``2**-1074``
-    (``2**k`` has bit length ``k + 1``), so the weighted component sums are
-    exact ints; one int/int true division, which CPython rounds correctly,
-    ends each. A repeated item comes back unchanged, splitting or reordering
-    entries cannot change the result, and the convex mean stays in the box.
+    With every multiplicity 1, as from the engine, two ``fsum``s a component give ``s1``,
+    the sum rounded once, and ``s2``, the rest rounded once. The sum is ``s1`` if ``s2`` is
+    0, else within ``h``, half an ulp of ``s2``, of ``s1 + s2``: a band whose ends are ints
+    in units of ``h``, as no denominator there exceeds ``h``'s. Rounding is monotone, so if
+    both ends over ``n`` round to one float, so does the mean. If not, or for other
+    multiplicities, the weighted sums are exact ints in units of ``2**-1074`` (``m / 2**j``
+    in [0, 1] is ``m << (1074 - j)`` of them; ``2**j`` has bit length ``j + 1``). One
+    correctly rounded division ends each. A repeated item comes back unchanged, splitting
+    or reordering entries cannot change the result, and the convex mean stays in the box.
     """
-    total = sum_t = sum_i = sum_f = 0
+    total, triplets, counts = 0, [], []
     for entry in items:
         try:
             triplet, count = entry
@@ -102,14 +107,36 @@ def mean(items: Iterable[Tuple[Triplet, int]]) -> Triplet:
         if count < 1:
             raise ValueError(f"multiplicity must be >= 1, got {count}")
         total += count
+        triplets.append(triplet)
+        counts.append(count)
+    if not total:
+        raise ValueError("mean requires at least one (triplet, multiplicity) entry")
+    if total == len(triplets):  # every multiplicity is 1, so total is n
+        parts = []
+        for column in ([t.truth for t in triplets], [t.indeterminacy for t in triplets],
+                       [t.falsity for t in triplets]):
+            s1 = fsum(column)
+            column.append(-s1)
+            s2 = fsum(column)
+            low = high = s1 / total
+            if s2:
+                k = 54 - frexp(s2)[1]  # h is 2**-k
+                whole, power = s1.as_integer_ratio()
+                middle = (whole << k + 1 - power.bit_length()) + int(ldexp(s2, k))
+                low, high = (middle - 1) / (total << k), (middle + 1) / (total << k)
+            if low != high:
+                break
+            parts.append(low)
+        else:
+            return Triplet(*parts)
+    sum_t = sum_i = sum_f = 0
+    for triplet, count in zip(triplets, counts):
         n_t, d_t = triplet.truth.as_integer_ratio()
         n_i, d_i = triplet.indeterminacy.as_integer_ratio()
         n_f, d_f = triplet.falsity.as_integer_ratio()
         sum_t += count * n_t << 1075 - d_t.bit_length()
         sum_i += count * n_i << 1075 - d_i.bit_length()
         sum_f += count * n_f << 1075 - d_f.bit_length()
-    if not total:
-        raise ValueError("mean requires at least one (triplet, multiplicity) entry")
     return Triplet(*(part / (total << 1074) for part in (sum_t, sum_i, sum_f)))
 
 

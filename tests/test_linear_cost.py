@@ -1,10 +1,12 @@
 """Parse, decide and render take time and bytes in proportion to the rows, on shapes built to be costly.
 
-Each shape runs at N and 8N rows, best of 3. Linear code takes about 8 times as long there, and
-quadratic code about 64 times, so a ratio above 20 fails. A report or a scale's message keeps its
-bytes per row within 10%; any other error message keeps its length, as identifiers are fixed-width.
+Each shape runs at N and 8N rows (one: N and 8N columns of a single row), best of 3. Linear code
+takes about 8 times as long there, and quadratic code about 64 times, so a ratio above 20 fails. A
+report or a scale's message keeps its bytes per row within 10%; any other error message, and the
+single row's report, keeps its length, as identifiers are fixed-width.
 """
 
+import math
 import time
 
 import pytest
@@ -30,6 +32,17 @@ def _duplicate_last_row(rows):
     return _table(lambda i: 1)(rows) + "c00000,0\n"
 
 
+def _spread_triplets(columns):
+    """One candidate with ``columns`` triplets, the exponents of its components from 2**-1074 to 1.
+
+    The truths and indeterminacies take the mean's band of two fsums. The falsities' exact mean is
+    the tie 0.5 + 2**-54, which the band cannot decide, so that mean also takes the integer path.
+    """
+    cells = [f"({2.0 ** -(j % 1075)!r};{math.ldexp(0.75, -(7 * j % 1075))!r};0.5)" for j in range(columns)]
+    cells[-1] = f"(1.0;0.0;{0.5 + columns * 2.0 ** -54!r})"
+    return "," + ",".join(f"e{j}" for j in range(columns)) + "\nc," + ",".join(cells) + "\n"
+
+
 def _overlapping_scale(rows):
     return " ".join(f"g{i:05d}=[0.{99999 - i:05d};1]" for i in range(rows))
 
@@ -45,6 +58,7 @@ _SHAPES = {
         _table(lambda i: f"(0.9;0.{i:05d};0.8)" if i % 2 else f"(0.2;0.{i:05d};0.1)"),
         "neutrosophic", "method: ", True,
     ),
+    "columns-of-spread-triplets": (_spread_triplets, "neutrosophic", "method: ", False),
     "duplicate-identifier-in-the-last-row": (_duplicate_last_row, "binary", "<table>:", False),
     "unknown-grade-in-the-last-cell": (_table(lambda i: "A", last="Z"), "grey", "unknown grade 'Z'", False),
     "method-mismatch-in-the-last-cell": (

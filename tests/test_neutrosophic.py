@@ -35,6 +35,12 @@ hard_degrees = st.one_of(
 )
 hard_triplets = st.builds(Triplet, hard_degrees, hard_degrees, hard_degrees)
 huge_multiplicities = st.one_of(multiplicities, st.integers(min_value=1, max_value=10**30))
+# Powers of two and the floats just below them put a sum on, or just beside, a rounding tie.
+powers_of_two = st.integers(min_value=-1074, max_value=0).map(lambda j: math.ldexp(1.0, j))
+near_tie_degrees = st.one_of(
+    powers_of_two, powers_of_two.map(lambda x: math.nextafter(x, 0.0)), hard_degrees,
+)
+near_tie_triplets = st.builds(Triplet, near_tie_degrees, near_tie_degrees, near_tie_degrees)
 
 
 def fraction_mean(items):
@@ -180,6 +186,19 @@ class TestMean:
     @example([(Triplet(5e-324, 1.0, 0.0), 10**30), (Triplet(0.001, 0.0, 2.0**-1000), 3)])
     def test_matches_the_fraction_oracle_bit_for_bit(self, items):
         """Exact and rounded once, hence within the items' bounds, exact on repeats, blind to splits."""
+        value = mean(items)
+        assert (value.truth, value.indeterminacy, value.falsity) == fraction_mean(items)
+
+    @settings(max_examples=400)
+    @given(st.lists(near_tie_triplets, min_size=1, max_size=8))
+    @example([Triplet(x, x, x) for x in (0.582, 0.867, 0.821)])  # s1 / n is one ulp above the mean
+    # Just above the tie 0.5 + 2**-54: s1 + s2 and the band's low end round down to 0.5.
+    @example([Triplet(x, x, x) for x in (1.0, 1.0, 2**-52, 2**-500)])
+    # Just below the tie 0.25 + 2**-55: the mean rounds down to 0.25, and the band's high end up.
+    @example([Triplet(x, x, x) for x in (1.0, math.nextafter(2**-53, 0), math.nextafter(2**-106, 0), 0.0)])
+    def test_unit_multiplicities_near_a_tie_match_the_fraction_oracle(self, triplets):
+        """The band of two fsums, or the integer path where it holds a tie, rounds the exact mean once."""
+        items = [(triplet, 1) for triplet in triplets]
         value = mean(items)
         assert (value.truth, value.indeterminacy, value.falsity) == fraction_mean(items)
 
