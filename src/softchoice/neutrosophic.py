@@ -102,7 +102,7 @@ def mean(items: Iterable[Tuple[Triplet, int]]) -> Triplet:
             raise TypeError("mean expects (triplet, multiplicity) pairs") from None
         if not isinstance(triplet, Triplet):
             raise TypeError(f"mean expects Triplet values, got {type(triplet).__name__}")
-        if isinstance(count, bool) or not isinstance(count, int):
+        if type(count) is not int and (isinstance(count, bool) or not isinstance(count, int)):
             raise TypeError(f"multiplicity must be an integer, got {count!r}")
         if count < 1:
             raise ValueError(f"multiplicity must be >= 1, got {count}")

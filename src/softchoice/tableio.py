@@ -41,7 +41,9 @@ from .grades import GradeScale
 from .grey import GreyNumber
 from .neutrosophic import Triplet
 
-_NUMBER = r"([0-9]+(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?)"
+# Each optional part is (?:X|), not (?:X)?: sre compiles ? on a group to a general repeat,
+# which sets up a repeat context on every attempt. Both spellings match the same tokens and groups.
+_NUMBER = r"([0-9]+(?:\.[0-9]+|)(?:[eE][+-]?[0-9]+|))"
 _LABEL = r"[A-Za-z][A-Za-z0-9_]*"  # grade labels: in cells, in scale entries and in write_scale
 _LABEL_RE = re.compile(_LABEL + r"\Z")
 _IDENT_RE = re.compile(r"[^\s,]+\Z")
@@ -188,20 +190,19 @@ def parse_table(text: str, source: str = "<table>") -> DecisionTable:
     shared = dict(_BINARY)  # token -> cell, for 0, 1 and each grade label read so far
     numbers = _Numbers()  # until it holds _SHARED_NUMBERS tokens; later rows call float itself
     for line_number, line in lines:
-        where = {"source": source, "line": line_number}
         fields = line.split(",")
         if not line.isprintable() or " " in line:
             fields = [part.strip() for part in fields]
         if len(fields) != width:
-            raise ParseError(f"expected {width} fields, got {len(fields)}", **where)
-        _add_ident(fields[0], "candidate", candidates, field=1, **where)
+            raise ParseError(f"expected {width} fields, got {len(fields)}", source=source, line=line_number)
+        _add_ident(fields[0], "candidate", candidates, source=source, line=line_number, field=1)
         number = numbers.__getitem__ if len(numbers) < _SHARED_NUMBERS else float
         cells = []
         try:
             for token in fields[1:]:
                 cells.append(shared.get(token) or _parse_cell(token, shared, number))
         except ValueError as exc:  # the failing token is the one after the cells read so far
-            raise ParseError(str(exc), field=len(cells) + 2, **where) from None
+            raise ParseError(str(exc), source=source, line=line_number, field=len(cells) + 2) from None
         cell_rows.append(tuple(cells))
     if not cell_rows:
         raise ParseError("at least one candidate row is required", source=source, line=header_line)

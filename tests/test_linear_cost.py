@@ -1,9 +1,10 @@
 """Parse, decide and render take time and bytes in proportion to the rows, on shapes built to be costly.
 
-Each shape runs at N and 8N rows (one: N and 8N columns of a single row), best of 3. Linear code
-takes about 8 times as long there, and quadratic code about 64 times, so a ratio above 20 fails. A
-report or a scale's message keeps its bytes per row within 10%; any other error message, and the
-single row's report, keeps its length, as identifiers are fixed-width.
+Each shape runs at N and 8N rows (one: N and 8N columns of a single row; one: a single cell whose
+number has N and 8N digits), best of 3. Linear code takes about 8 times as long there, and quadratic
+code about 64 times, so a ratio above 20 fails. A report, a scale's message or the long number's
+message keeps its bytes per row (per digit) within 10%; any other error message, and the single
+row's report, keeps its length, as identifiers are fixed-width.
 """
 
 import math
@@ -43,6 +44,11 @@ def _spread_triplets(columns):
     return "," + ",".join(f"e{j}" for j in range(columns)) + "\nc," + ",".join(cells) + "\n"
 
 
+def _long_number(digits):
+    """One interval cell whose second number is ``digits`` digits and a letter, so no spelling matches."""
+    return f",p1\nc,[0;{'1' * digits}x]\n"
+
+
 def _overlapping_scale(rows):
     return " ".join(f"g{i:05d}=[0.{99999 - i:05d};1]" for i in range(rows))
 
@@ -59,6 +65,7 @@ _SHAPES = {
         "neutrosophic", "method: ", True,
     ),
     "columns-of-spread-triplets": (_spread_triplets, "neutrosophic", "method: ", False),
+    "digits-of-a-malformed-number": (_long_number, "grey", "<table>:2 field 2: malformed number", True),
     "duplicate-identifier-in-the-last-row": (_duplicate_last_row, "binary", "<table>:", False),
     "unknown-grade-in-the-last-cell": (_table(lambda i: "A", last="Z"), "grey", "unknown grade 'Z'", False),
     "method-mismatch-in-the-last-cell": (
