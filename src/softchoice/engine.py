@@ -51,31 +51,17 @@ class GradeCell(Frozen):
         object.__setattr__(self, "label", label)
 
 
-class GreyCell(Frozen):
-    """An interval of membership; its table token is ``[lower;upper]``."""
+class GreyCell(GreyNumber):
+    """An interval of membership, itself the value; its table token is ``[lower;upper]``."""
 
-    __slots__ = __match_args__ = ("interval",)
-    interval: GreyNumber
-
-    def __init__(self, interval: GreyNumber) -> None:
-        if not isinstance(interval, GreyNumber):
-            raise TypeError(f"grey cells hold a GreyNumber, got {type(interval).__name__}")
-        _set_interval(self, interval)
+    __slots__ = ()
 
 
-class NeutroCell(Frozen):
-    """A triplet of degrees; its table token is ``(truth;indeterminacy;falsity)``."""
+class NeutroCell(Triplet):
+    """A triplet of degrees, itself the value; its table token is ``(truth;indeterminacy;falsity)``."""
 
-    __slots__ = __match_args__ = ("triplet",)
-    triplet: Triplet
+    __slots__ = ()
 
-    def __init__(self, triplet: Triplet) -> None:
-        if not isinstance(triplet, Triplet):
-            raise TypeError(f"neutrosophic cells hold a Triplet, got {type(triplet).__name__}")
-        _set_triplet(self, triplet)
-
-
-_set_interval, _set_triplet = GreyCell.interval.__set__, NeutroCell.triplet.__set__
 
 Cell = Union[BinCell, GradeCell, GreyCell, NeutroCell]
 Score = Union[int, float, Triplet]
@@ -84,8 +70,8 @@ Score = Union[int, float, Triplet]
 _DESCRIBE: Dict[type, Callable[[Any], str]] = {
     BinCell: lambda cell: f"binary {cell.value}",
     GradeCell: lambda cell: f"grade {cell.label!r}",
-    GreyCell: lambda cell: f"interval {cell.interval}",
-    NeutroCell: lambda cell: f"triplet {cell.triplet}",
+    GreyCell: lambda cell: f"interval {cell}",
+    NeutroCell: lambda cell: f"triplet {cell}",
 }
 
 
@@ -184,54 +170,49 @@ class DecisionReport(Frozen):
 
 
 _VALUE = attrgetter("value")
-# The (triplet, multiplicity) entries that a 1-cell and a 0-cell add to a neutrosophic mean.
-_PRESENT = (Triplet(1.0, 0.0, 0.0), 1)
-_ABSENT = (Triplet(0.0, 0.0, 1.0), 1)
+_BINARY_ONLY = frozenset((BinCell,))
+# The (triplet, multiplicity) entries that a 1-cell and a 0-cell add to a neutrosophic mean, as
+# the cells (1;0;0) and (0;0;1), so that a mean reads its components from one class throughout.
+_PRESENT = (NeutroCell(1.0, 0.0, 0.0), 1)
+_ABSENT = (NeutroCell(0.0, 0.0, 1.0), 1)
 
 
 def _fold_rows(
-    table: DecisionTable, method: Method, contributions: Mapping[type, Callable], hint: str,
-) -> Iterator[Tuple[str, list]]:
-    """Yield each candidate with its row's parts, the one walk behind every method.
+    table: DecisionTable, method: Method, score_row: Callable[[tuple], Any], hint: str,
+) -> Iterator[Tuple[str, Any]]:
+    """Yield each candidate with its row's score, the one walk behind every method.
 
-    ``contributions`` maps each cell class the method accepts to the
-    function that turns such a cell into a part; the parts come in column
-    order, one lookup and one call per cell. A cell of any other class is a
-    mismatch, reported with ``hint``. A row that raises ``KeyError`` (such a
-    cell or an unknown grade) is walked again to name its first offender.
+    ``score_row`` scores a whole row in one call, and raises ``KeyError`` for
+    a cell of a class the method does not accept or for an unknown grade.
+    Such a row is walked again, each cell scored alone, to name its first
+    offender; a mismatch is reported with ``hint``.
     """
     for candidate, row in zip(table.candidates, table.cells):
         try:
-            parts = [contributions[type(cell)](cell) for cell in row]
+            score = score_row(row)
         except KeyError:
             for parameter, cell in zip(table.parameters, row):
-                if type(cell) not in contributions:
-                    found = _DESCRIBE[type(cell)](cell)
-                    raise CellMismatchError(method.value, candidate, parameter, found, hint) from None
                 try:
-                    contributions[type(cell)](cell)
+                    score_row((cell,))
                 except UnknownGradeError as exc:  # the scale lookup cannot name the cell
                     exc.cell = (candidate, parameter)
                     raise
+                except KeyError:
+                    found = _DESCRIBE[type(cell)](cell)
+                    raise CellMismatchError(method.value, candidate, parameter, found, hint) from None
             raise
-        yield candidate, parts
+        yield candidate, score
+
+
+def _binary_row(row: tuple) -> int:
+    if not _BINARY_ONLY.issuperset(map(type, row)):
+        raise KeyError(row)
+    return sum(map(_VALUE, row))
 
 
 def choice_values_binary(table: DecisionTable) -> Dict[str, int]:
     """Row sums of an all-binary table."""
-    rows = _fold_rows(table, Method.BINARY, {BinCell: _VALUE}, "only 0/1 cells are allowed")
-    return {candidate: sum(parts) for candidate, parts in rows}
-
-
-def _grey_score(candidate: str, parts: list) -> float:
-    ones, lower, upper = 0, 0.0, 0.0
-    for part in parts:
-        if isinstance(part, GreyNumber):
-            lower += part.lower
-            upper += part.upper
-        else:
-            ones += part
-    return checked_real(ones + (lower + upper) / 2.0, f"grey score of candidate {candidate!r}")
+    return dict(_fold_rows(table, Method.BINARY, _binary_row, "only 0/1 cells are allowed"))
 
 
 def choice_values_grey(table: DecisionTable, scale: GradeScale) -> Dict[str, float]:
@@ -242,27 +223,45 @@ def choice_values_grey(table: DecisionTable, scale: GradeScale) -> Dict[str, flo
     midpoint is taken once at the end; a score beyond the float range is
     rejected.
     """
-    contributions = {
-        BinCell: _VALUE,
-        GradeCell: lambda cell: scale[cell.label],
-        GreyCell: attrgetter("interval"),
-    }
-    rows = _fold_rows(table, Method.GREY, contributions, "only 0/1, grade and interval cells are allowed")
-    return {candidate: _grey_score(candidate, parts) for candidate, parts in rows}
+    def score_row(row: tuple) -> float:
+        ones, lower, upper = 0, 0.0, 0.0
+        for cell in row:
+            kind = type(cell)
+            if kind is BinCell:
+                ones += cell.value
+                continue
+            if kind is GradeCell:
+                cell = scale[cell.label]
+            elif kind is not GreyCell:
+                raise KeyError(kind)
+            lower += cell.lower
+            upper += cell.upper
+        return ones + (lower + upper) / 2.0
+
+    rows = _fold_rows(table, Method.GREY, score_row, "only 0/1, grade and interval cells are allowed")
+    return {name: checked_real(score, f"grey score of candidate {name!r}") for name, score in rows}
+
+
+def _neutrosophic_row(row: tuple) -> Triplet:
+    entries = []
+    for cell in row:
+        kind = type(cell)
+        if kind is NeutroCell:
+            entries.append((cell, 1))
+        elif kind is BinCell:
+            entries.append(_PRESENT if cell.value else _ABSENT)
+        else:
+            raise KeyError(kind)
+    return mean(entries)
 
 
 def choice_values_neutrosophic(table: DecisionTable) -> Dict[str, Triplet]:
     """Mean triplet of each row, with 0 read as (0, 0, 1) and 1 as (1, 0, 0)."""
-    contributions = {
-        BinCell: lambda cell: _PRESENT if cell.value else _ABSENT,
-        NeutroCell: lambda cell: (cell.triplet, 1),
-    }
-    rows = _fold_rows(
-        table, Method.NEUTROSOPHIC, contributions,
+    return dict(_fold_rows(
+        table, Method.NEUTROSOPHIC, _neutrosophic_row,
         "supply triplets for this cell (grades and intervals have no "
         "automatic triplet translation) or run the grey method",
-    )
-    return {candidate: mean(parts) for candidate, parts in rows}
+    ))
 
 
 def _ranked(

@@ -54,7 +54,7 @@ class GradeScale(Frozen):
             label, interval = entry
             if not isinstance(label, str) or not label:
                 raise ValueError(f"grade labels must be non-empty strings, got {label!r}")
-            if not isinstance(interval, GreyNumber):
+            if type(interval) is not GreyNumber:  # as parse_scale gives: a GreyCell would read back unequal
                 raise TypeError(f"grade {label!r} must map to a GreyNumber, got {type(interval).__name__}")
         violations = []
         seen = set()

@@ -39,7 +39,6 @@ from .engine import (
 )
 from .grades import GradeScale
 from .grey import GreyNumber
-from .neutrosophic import Triplet
 
 # Each optional part is (?:X|), not (?:X)?: sre compiles ? on a group to a general repeat,
 # which sets up a repeat context on every attempt. Both spellings match the same tokens and groups.
@@ -91,14 +90,14 @@ class _Numbers(dict):
 def _parse_cell(token: str, shared: dict, number=float) -> Cell:
     """The cell of a token that ``shared`` (0, 1, grades read so far) lacks; it keeps each new grade cell.
 
-    A well-formed interval or triplet is one whole-token match, then its value and cell are built.
+    A well-formed interval or triplet is one whole-token match, then its cell is built.
     """
     match = _INTERVAL.match(token)
     if match:
-        return GreyCell(GreyNumber(number(match[1]), number(match[2])))
+        return GreyCell(number(match[1]), number(match[2]))
     match = _TRIPLET.match(token)
     if match:
-        return NeutroCell(Triplet(number(match[1]), number(match[2]), number(match[3])))
+        return NeutroCell(number(match[1]), number(match[2]), number(match[3]))
     if _LABEL_RE.match(token):
         cell = shared[token] = GradeCell(token)
         return cell
@@ -131,7 +130,7 @@ def format_cell(cell: Cell) -> str:
     elif isinstance(cell, GradeCell):
         token = cell.label
     else:
-        token = str(cell.interval if isinstance(cell, GreyCell) else cell.triplet)
+        token = str(cell)  # an interval or triplet cell prints as its token, as its value does
     try:
         if parse_cell(token) == cell:
             return token
@@ -233,7 +232,8 @@ def parse_scale(text: str, source: str = "<scale>") -> GradeScale:
                 )
             label, interval_token = match.groups()
             try:
-                entries.append((label, _parse_cell(interval_token, {}).interval))
+                interval = _parse_cell(interval_token, {})
+                entries.append((label, GreyNumber(interval.lower, interval.upper)))
             except ValueError as exc:
                 raise ParseError(str(exc), source=source, line=line_number, field=index) from None
     if not entries:
@@ -246,7 +246,7 @@ def write_scale(scale: GradeScale) -> str:
     for label, _ in scale.entries:
         if not _LABEL_RE.match(label):
             raise ValueError(f"grade label {label!r} is not a letter followed by letters, digits or _")
-    lines = [f"{label}={format_cell(GreyCell(interval))}" for label, interval in scale.entries]
+    lines = [f"{label}={format_cell(GreyCell(value.lower, value.upper))}" for label, value in scale.entries]
     return "\n".join(lines) + "\n"
 
 

@@ -117,7 +117,7 @@ def _cell(value):
         return BinCell(value)
     if isinstance(value, str):
         return GradeCell(value)
-    return NeutroCell(Triplet(*value))
+    return NeutroCell(*value)
 
 
 def _table(rows):
@@ -156,13 +156,13 @@ def docs(tmp_path):
     return paths
 
 
-def random_triplet(rng):
-    return Triplet(rng.random(), rng.random(), rng.random())
+def random_triplet(rng, cls=Triplet):
+    return cls(rng.random(), rng.random(), rng.random())
 
 
-def random_interval(rng):
+def random_interval(rng, cls=GreyNumber):
     a, b = sorted((rng.random(), rng.random()))
-    return GreyNumber(a, b)
+    return cls(a, b)
 
 
 def random_table(rng, method):
@@ -179,10 +179,10 @@ def random_table(rng, method):
                 return BinCell(rng.randint(0, 1))
             if kind == 1:
                 return GradeCell(rng.choice("ABCDF"))
-            return GreyCell(random_interval(rng))
+            return random_interval(rng, GreyCell)
         if rng.random() < 0.4:
             return BinCell(rng.randint(0, 1))
-        return NeutroCell(random_triplet(rng))
+        return random_triplet(rng, NeutroCell)
 
     return DecisionTable(
         tuple(f"c{i}" for i in range(1, rows + 1)),

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import re
 
 import pytest
 from hypothesis import assume, given, settings
@@ -22,7 +24,7 @@ from softchoice.engine import (
 )
 from softchoice.grades import UnknownGradeError, default_scale
 from softchoice.grey import GreyNumber
-from softchoice.neutrosophic import Triplet
+from softchoice.neutrosophic import Triplet, TripletAccumulator
 from softchoice.tableio import render_report_json, render_report_text
 
 
@@ -35,7 +37,7 @@ class TestBinaryMethod:
 class TestGreyMethod:
     def test_triplet_cell_rejected(self, graded_table):
         cells = list(list(row) for row in graded_table.cells)
-        cells[2][1] = NeutroCell(Triplet(1, 0, 0))
+        cells[2][1] = NeutroCell(1, 0, 0)
         table = DecisionTable(graded_table.candidates, graded_table.parameters, cells)
         with pytest.raises(CellMismatchError) as excinfo:
             choice_values_grey(table, default_scale())
@@ -63,7 +65,7 @@ class TestDecide:
     def test_fallback_is_flagged_when_used(self):
         table = DecisionTable(
             ("first", "second"), ("e1",),
-            ((NeutroCell(Triplet(0.9, 0.0, 0.5)),), (NeutroCell(Triplet(0.6, 0.0, 0.1)),)),
+            ((NeutroCell(0.9, 0.0, 0.5),), (NeutroCell(0.6, 0.0, 0.1),)),
         )
         report = decide(table, "neutrosophic", criterion="combined")
         assert report.winners == ("second",)
@@ -106,12 +108,19 @@ class TestTableConstruction:
 
     def test_a_cell_subclass_is_not_a_cell(self):
         # A table holds exactly the four cell classes, so it never holds a
-        # cell that write_table could not spell.
+        # cell that write_table could not spell, nor a bare value.
         class OwnBin(BinCell):
             pass
 
-        with pytest.raises(TypeError, match=r"row 'c' holds a non-cell value .*OwnBin\(value=1\)"):
-            DecisionTable(("c",), ("e1",), ((OwnBin(1),),))
+        for value in (OwnBin(1), GreyNumber(0.6, 0.74), Triplet(0, 0, 1), TripletAccumulator(0, 0, 1)):
+            with pytest.raises(TypeError, match="^row 'c' holds a non-cell value " + re.escape(repr(value))):
+                DecisionTable(("c",), ("e1",), ((value,),))
+        # A grey or triplet cell is a subclass of its value, yet never equal to it.
+        assert GreyCell(0.6, 0.74) != GreyNumber(0.6, 0.74)
+        assert NeutroCell(0.5, 0.1, 1) != Triplet(0.5, 0.1, 1)
+        assert [field.name for field in dataclasses.fields(GreyCell)] == ["lower", "upper"]
+        with pytest.raises(ValueError, match=r"^invalid interval: lower 0\.3 > upper 0\.2$"):
+            dataclasses.replace(GreyCell(0.1, 0.2), lower=0.3)
 
     def test_cell_lookup_by_identifiers(self, graded_table):
         assert graded_table.cell("P4", "e1") == GradeCell("D")
@@ -179,14 +188,12 @@ class TestRankingOracles:
         assert rank_combined(scores, eps) == _oracle_combined(scores, eps)
 
 
-_unit_intervals = st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=2, max_size=2).map(
-    lambda ends: GreyNumber(min(ends), max(ends))
-)
+_unit_intervals = st.tuples(_degrees, _degrees).map(lambda ends: GreyCell(min(ends), max(ends)))
 _bin_cells = st.sampled_from((BinCell(0), BinCell(1)))
 _cells = {
     "binary": _bin_cells,
-    "grey": st.one_of(_bin_cells, st.sampled_from("ABCDF").map(GradeCell), _unit_intervals.map(GreyCell)),
-    "neutrosophic": st.one_of(_bin_cells, st.builds(Triplet, _degrees, _degrees, _degrees).map(NeutroCell)),
+    "grey": st.one_of(_bin_cells, st.sampled_from("ABCDF").map(GradeCell), _unit_intervals),
+    "neutrosophic": st.one_of(_bin_cells, st.builds(NeutroCell, _degrees, _degrees, _degrees)),
 }
 
 
@@ -236,7 +243,7 @@ def test_a_beaten_candidate_changes_no_outcome(case):
 def _one_column_table(rows):
     """A neutrosophic table of one parameter; ``rows`` maps candidate to triplet."""
     return DecisionTable(
-        tuple(rows), ("e1",), tuple((NeutroCell(Triplet(*row)),) for row in rows.values())
+        tuple(rows), ("e1",), tuple((NeutroCell(*row),) for row in rows.values())
     )
 
 
@@ -373,8 +380,8 @@ class TestTieBoundaries:
     def test_grey_winners(self):
         def table(b):
             return DecisionTable(("a", "b"), ("e",), (
-                (GreyCell(GreyNumber(0.75, 0.75)),),
-                (GreyCell(GreyNumber(b, b)),),
+                (GreyCell(0.75, 0.75),),
+                (GreyCell(b, b),),
             ))
 
         assert decide(table(0.5), "grey", epsilon=0.25).winners == ("a", "b")
@@ -424,14 +431,14 @@ _NEUTROSOPHIC_HINT = (
 class TestMismatchMessages:
     @pytest.mark.parametrize("method, cell, found, hint", [
         ("binary", GradeCell("C"), "grade 'C'", "only 0/1 cells are allowed"),
-        ("binary", GreyCell(GreyNumber(0.6, 0.74)), "interval [0.6;0.74]",
+        ("binary", GreyCell(0.6, 0.74), "interval [0.6;0.74]",
          "only 0/1 cells are allowed"),
-        ("binary", NeutroCell(Triplet(0.5, 0.1, 1)), "triplet (0.5;0.1;1.0)",
+        ("binary", NeutroCell(0.5, 0.1, 1), "triplet (0.5;0.1;1.0)",
          "only 0/1 cells are allowed"),
-        ("grey", NeutroCell(Triplet(0.5, 0.1, 1)), "triplet (0.5;0.1;1.0)",
+        ("grey", NeutroCell(0.5, 0.1, 1), "triplet (0.5;0.1;1.0)",
          "only 0/1, grade and interval cells are allowed"),
         ("neutrosophic", GradeCell("C"), "grade 'C'", _NEUTROSOPHIC_HINT),
-        ("neutrosophic", GreyCell(GreyNumber(0.6, 0.74)), "interval [0.6;0.74]",
+        ("neutrosophic", GreyCell(0.6, 0.74), "interval [0.6;0.74]",
          _NEUTROSOPHIC_HINT),
     ])
     def test_every_rejected_cell_kind(self, method, cell, found, hint):
@@ -446,8 +453,8 @@ class TestMismatchMessages:
 # A cell of each kind, with the way a mismatch message describes it; "Z" is on no scale.
 _FOLD_CELLS = (
     (BinCell(0), "binary 0"), (BinCell(1), "binary 1"), (GradeCell("A"), "grade 'A'"),
-    (GradeCell("Z"), "grade 'Z'"), (GreyCell(GreyNumber(0.6, 0.74)), "interval [0.6;0.74]"),
-    (NeutroCell(Triplet(0.5, 0.1, 1)), "triplet (0.5;0.1;1.0)"),
+    (GradeCell("Z"), "grade 'Z'"), (GreyCell(0.6, 0.74), "interval [0.6;0.74]"),
+    (NeutroCell(0.5, 0.1, 1), "triplet (0.5;0.1;1.0)"),
 )
 _FOLDS = {  # method -> (its scorer, the cell classes it accepts, its mismatch hint)
     "binary": (choice_values_binary, {BinCell}, "only 0/1 cells are allowed"),

@@ -28,7 +28,6 @@ from softchoice.engine import (
     decide,
 )
 from softchoice.grades import default_scale
-from softchoice.grey import GreyNumber
 from softchoice.neutrosophic import Triplet
 
 SEEDS = range(8)
@@ -55,13 +54,13 @@ def _grey_cell(rng):
     if draw < 0.5:
         return GradeCell(rng.choice("ABCDF"))
     lower = _real(rng)
-    return GreyCell(GreyNumber(lower, lower + _real(rng)))
+    return GreyCell(lower, lower + _real(rng))
 
 
 def _neutro_cell(rng):
     if rng.random() < 0.3:
         return BinCell(rng.randint(0, 1))
-    return NeutroCell(Triplet(rng.random(), rng.random(), rng.random()))
+    return NeutroCell(rng.random(), rng.random(), rng.random())
 
 
 def _grey_oracle(row, scale):
@@ -70,7 +69,7 @@ def _grey_oracle(row, scale):
         if isinstance(cell, BinCell):
             ones += cell.value
             continue
-        interval = scale[cell.label] if isinstance(cell, GradeCell) else cell.interval
+        interval = scale[cell.label] if isinstance(cell, GradeCell) else cell
         lower += interval.lower
         upper += interval.upper
     return ones + (lower + upper) / 2.0
@@ -82,8 +81,7 @@ def _neutro_oracle(row):
         if isinstance(cell, BinCell):
             components.append((1.0, 0.0, 0.0) if cell.value else (0.0, 0.0, 1.0))
         else:
-            triplet = cell.triplet
-            components.append((triplet.truth, triplet.indeterminacy, triplet.falsity))
+            components.append((cell.truth, cell.indeterminacy, cell.falsity))
     return tuple(
         float(sum(Fraction(values[k]) for values in components) / len(components))
         for k in range(3)
@@ -134,17 +132,17 @@ def _bits(score):
     return tuple(part.hex() for part in (score.truth, score.indeterminacy, score.falsity))
 
 
-_SPELLED = {0: Triplet(0, 0, 1), 1: Triplet(1, 0, 0)}  # what a 0/1 cell counts as in the mean
+_SPELLED = {0: NeutroCell(0, 0, 1), 1: NeutroCell(1, 0, 0)}  # what a 0/1 cell counts as in the mean
 _degrees = st.floats(min_value=0.0, max_value=1.0)
 _neutro_cells = st.one_of(
     st.sampled_from([BinCell(0), BinCell(1)]),
-    st.builds(Triplet, _degrees, _degrees, _degrees).map(NeutroCell),
+    st.builds(NeutroCell, _degrees, _degrees, _degrees),
 )
 _neutro_rows = st.lists(_neutro_cells, min_size=1, max_size=12)
 
 
 def _triplet_of(cell):
-    return _SPELLED[cell.value] if isinstance(cell, BinCell) else cell.triplet
+    return _SPELLED[cell.value] if isinstance(cell, BinCell) else cell
 
 
 @settings(max_examples=300)
@@ -152,7 +150,7 @@ def _triplet_of(cell):
 def test_a_zero_or_one_scores_as_its_triplet_spelling(row, data):
     """``1`` and ``(1;0;0)``, and ``0`` and ``(0;0;1)``, give bit-identical neutrosophic scores."""
     respelled = [
-        NeutroCell(_triplet_of(cell)) if isinstance(cell, BinCell) and data.draw(st.booleans()) else cell
+        _triplet_of(cell) if isinstance(cell, BinCell) and data.draw(st.booleans()) else cell
         for cell in row
     ]
     score, again = (choice_values_neutrosophic(_one_row(cells))["c"] for cells in (row, respelled))
@@ -174,11 +172,11 @@ def test_more_truth_or_less_falsity_in_a_cell_never_worsens_the_mean(row, data):
     """Truth up or falsity down, in one cell, never lowers the mean's truth or raises its falsity."""
     j = data.draw(st.integers(min_value=0, max_value=len(row) - 1))
     old = _triplet_of(row[j])
-    new = Triplet(
+    new = NeutroCell(
         data.draw(st.floats(min_value=old.truth, max_value=1.0)), old.indeterminacy,
         data.draw(st.floats(min_value=0.0, max_value=old.falsity)),
     )
-    raised = [*row[:j], NeutroCell(new), *row[j + 1:]]
+    raised = [*row[:j], new, *row[j + 1:]]
     before, after = (choice_values_neutrosophic(_one_row(cells))["c"] for cells in (row, raised))
     assert _bits(before) == _bits(Triplet(*_neutro_oracle(row)))
     assert _bits(after) == _bits(Triplet(*_neutro_oracle(raised)))
@@ -188,7 +186,7 @@ def test_more_truth_or_less_falsity_in_a_cell_never_worsens_the_mean(row, data):
 _endpoints = st.floats(min_value=-1e3, max_value=1e3)
 _grey_cells = st.one_of(
     st.sampled_from([BinCell(0), BinCell(1), *map(GradeCell, "ABCDF")]),
-    st.tuples(_endpoints, _endpoints).map(lambda ends: GreyCell(GreyNumber(min(ends), max(ends)))),
+    st.tuples(_endpoints, _endpoints).map(lambda ends: GreyCell(min(ends), max(ends))),
 )
 
 
@@ -208,9 +206,9 @@ def test_raising_a_grey_cell_within_its_kind_never_lowers_the_score(row, data):
     elif isinstance(cell, GradeCell):  # the built-in scale's grades run best first
         new = GradeCell(data.draw(st.sampled_from(scale.labels[:scale.labels.index(cell.label) + 1])))
     else:
-        lower = data.draw(st.floats(min_value=cell.interval.lower, max_value=2e3))
-        upper = data.draw(st.floats(min_value=max(lower, cell.interval.upper), max_value=4e3))
-        new = GreyCell(GreyNumber(lower, upper))
+        lower = data.draw(st.floats(min_value=cell.lower, max_value=2e3))
+        upper = data.draw(st.floats(min_value=max(lower, cell.upper), max_value=4e3))
+        new = GreyCell(lower, upper)
     raised = [*row[:j], new, *row[j + 1:]]
     before, after = (choice_values_grey(_one_row(cells), scale)["c"] for cells in (row, raised))
     assert (before, after) == (_grey_oracle(row, scale), _grey_oracle(raised, scale))
@@ -218,7 +216,7 @@ def test_raising_a_grey_cell_within_its_kind_never_lowers_the_score(row, data):
 
 
 def _huge_grey_table(*intervals):
-    cells = tuple(GreyCell(GreyNumber(lower, upper)) for lower, upper in intervals)
+    cells = tuple(GreyCell(lower, upper) for lower, upper in intervals)
     return DecisionTable(
         ("safe", "huge"), tuple(f"e{j}" for j in range(len(cells))),
         (tuple(BinCell(1) for _ in cells), cells),

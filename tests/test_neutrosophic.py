@@ -101,8 +101,8 @@ class TestHierarchy:
         value = TripletAccumulator(*components)
         with pytest.raises(TypeError, match=r"^mean expects Triplet values, got TripletAccumulator$"):
             mean([(value, 1)])
-        with pytest.raises(TypeError, match=r"^neutrosophic cells hold a Triplet, got TripletAccumulator$"):
-            NeutroCell(value)
+        with pytest.raises(ValueError, match=rf"^{NeutroCell._labels[at]} must lie in \[0, 1\], got "):
+            NeutroCell(*components)
         with pytest.raises(TypeError, match=r"^expected a Triplet, got TripletAccumulator$"):
             classify_information(value)
 
